@@ -99,19 +99,14 @@ BenchConfig ParseBenchArgs(int argc, char** argv) {
       if (config.scale == 0) config.scale = 1;
       config.scale_explicit = true;
     } else if (arg.rfind("--backend=", 0) == 0) {
-      const std::string name = arg.substr(10);
-      bool found = false;
-      for (CounterBackend backend : AllCounterBackends()) {
-        if (name == CounterBackendName(backend)) {
-          config.backend = backend;
-          found = true;
-        }
-      }
-      if (!found) {
-        std::fprintf(stderr, "unknown backend '%s'\n", name.c_str());
+      const StatusOr<CounterBackend> parsed =
+          ParseCounterBackend(arg.substr(10));
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
         // NOLINTNEXTLINE(concurrency-mt-unsafe): single-threaded CLI setup
         std::exit(2);
       }
+      config.backend = *parsed;
     } else if (arg.rfind("--threads=", 0) == 0) {
       config.num_threads = std::strtoul(arg.c_str() + 10, nullptr, 10);
     } else if (arg == "--skip-apriori") {
@@ -131,7 +126,7 @@ BenchConfig ParseBenchArgs(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--scale=N] [--full] [--backend=trie|hash_tree|"
-                   "linear|vertical|parallel|auto] [--threads=N] "
+                   "linear|vertical|auto] [--threads=N] "
                    "[--skip-apriori] "
                    "[--budget=MS] [--json=FILE]\n",
                    argv[0]);

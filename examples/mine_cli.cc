@@ -5,10 +5,11 @@
 //     --min-support=0.01         fraction of |D| (default 0.01)
 //     --algorithm=pincer         apriori | pincer | pincer-adaptive
 //     --backend=trie             trie | hash_tree | linear | vertical |
-//                                parallel | auto (auto picks trie or
-//                                vertical per pass from a deterministic
-//                                cost model; the pick lands in the stats
-//                                as per-pass backend_used)
+//                                auto (auto picks trie or vertical per
+//                                pass from a deterministic cost model; the
+//                                pick lands in the stats as per-pass
+//                                backend_used); parallel is a deprecated
+//                                alias for trie
 //     --threads=1                counting worker threads (0 = all cores);
 //                                results are identical for every value
 //     --rules=<min_confidence>   also generate association rules
@@ -55,7 +56,7 @@ int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <database.basket> [--min-support=F] "
                "[--algorithm=apriori|pincer|pincer-adaptive] "
-               "[--backend=trie|hash_tree|linear|vertical|parallel|auto] "
+               "[--backend=trie|hash_tree|linear|vertical|auto] "
                "[--threads=N] "
                "[--rules=MIN_CONFIDENCE] [--stats] [--stats-json=FILE] "
                "[--malformed=strict|skip] [--checkpoint=FILE] [--resume]\n";
@@ -105,18 +106,13 @@ int main(int argc, char** argv) {
       }
       algorithm = *parsed;
     } else if (arg.rfind("--backend=", 0) == 0) {
-      const std::string name = arg.substr(10);
-      bool found = false;
-      for (CounterBackend backend : AllCounterBackends()) {
-        if (name == CounterBackendName(backend)) {
-          options.backend = backend;
-          found = true;
-        }
-      }
-      if (!found) {
-        std::cerr << "unknown backend: " << name << "\n";
+      const StatusOr<CounterBackend> parsed =
+          ParseCounterBackend(arg.substr(10));
+      if (!parsed.ok()) {
+        std::cerr << parsed.status() << "\n";
         return 2;
       }
+      options.backend = *parsed;
     } else if (arg.rfind("--threads=", 0) == 0) {
       const StatusOr<size_t> parsed =
           ParseSize(arg.substr(10), "--threads");

@@ -1,20 +1,15 @@
 #include "apriori/apriori.h"
 
 #include <algorithm>
-#include <memory>
-#include <optional>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 
+#include "apriori/apriori_combined.h"
 #include "apriori/apriori_gen.h"
-#include "counting/array_counters.h"
-#include "counting/counter_factory.h"
-#include "counting/scan_budget.h"
 #include "itemset/itemset_ops.h"
-#include "mining/checkpoint.h"
-#include "util/logging.h"
+#include "mining/levelwise_run.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace pincer {
 
@@ -32,285 +27,138 @@ std::vector<FrequentItemset> FrequentSetResult::MaximalItemsets() const {
 
 namespace {
 
-// Snapshot handed to the checkpoint sink after each completed pass: the
-// frequent set so far plus L_k, everything the next pass depends on.
-Checkpoint MakeCheckpoint(const TransactionDatabase& db,
-                          const MiningOptions& options,
-                          const FrequentSetResult& result,
-                          const std::vector<Itemset>& lk, size_t next_pass,
-                          double elapsed_ms) {
-  Checkpoint checkpoint;
-  checkpoint.algorithm = "apriori";
-  checkpoint.next_pass = next_pass;
-  checkpoint.options_fingerprint = OptionsFingerprint(options, "apriori");
-  checkpoint.database.rows = db.size();
-  checkpoint.database.items = db.num_items();
-  checkpoint.stats = result.stats;
-  checkpoint.stats.elapsed_millis = elapsed_ms;
-  checkpoint.frequent = result.frequent;
-  checkpoint.live_candidates = lk;
-  return checkpoint;
+// Optimistically pre-counted next-level candidates, sorted by itemset.
+using Precounts = std::vector<std::pair<Itemset, uint64_t>>;
+
+// The counts of `candidates` if the previous pass counted every one of them
+// optimistically, else empty. Consumes the precounts either way.
+std::vector<uint64_t> TakePrecounts(const std::vector<Itemset>& candidates,
+                                    Precounts& precounted) {
+  std::vector<uint64_t> counts;
+  if (precounted.empty() || candidates.empty()) return counts;
+  counts.reserve(candidates.size());
+  for (const Itemset& candidate : candidates) {
+    auto it = std::lower_bound(precounted.begin(), precounted.end(), candidate,
+                               [](const auto& entry, const Itemset& value) {
+                                 return entry.first < value;
+                               });
+    if (it == precounted.end() || it->first != candidate) {
+      counts.clear();
+      break;
+    }
+    counts.push_back(it->second);
+  }
+  precounted.clear();
+  return counts;
 }
 
-// The shared driver. `resume` null mines from scratch; otherwise state is
-// restored from the (already validated) checkpoint and mining starts at its
-// next_pass. Pass bookkeeping (stats.passes, tallies, the per-pass record)
-// happens only after a pass's counting scan completes, so a scan aborted by
-// the time budget leaves no trace of the in-flight pass.
-FrequentSetResult AprioriRun(const TransactionDatabase& db,
-                             const MiningOptions& options,
-                             const Checkpoint* resume) {
-  Timer timer;
+// The level-wise frequent-set loop: Apriori's frequent-set filter over the
+// shared run skeleton. A positive `combine_threshold` gives the
+// combined-pass variant: whenever |C_k| is at most the threshold, C_{k+1}
+// is generated optimistically from C_k and counted in the same pass, and
+// the next level is then served from those counts without a database read.
+// `resume` null mines from scratch; otherwise the run continues from the
+// checkpoint. Pass bookkeeping happens only after a pass's counting scan
+// completes, so a scan aborted by the time budget leaves no trace.
+StatusOr<FrequentSetResult> FrequentSetRun(const TransactionDatabase& db,
+                                           const MiningOptions& options,
+                                           std::string_view algorithm,
+                                           size_t combine_threshold,
+                                           const Checkpoint* resume) {
   FrequentSetResult result;
-  MiningStats& stats = result.stats;
-  const uint64_t min_count = db.MinSupportCount(options.min_support);
-  // One pool per run, shared by the backend and the array fast paths — or,
-  // in resident mode, the caller's shared pool and pre-built counter.
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool = options.shared_pool;
-  if (pool == nullptr) {
-    owned_pool = std::make_unique<ThreadPool>(options.num_threads);
-    pool = owned_pool.get();
-  }
-  std::unique_ptr<SupportCounter> owned_counter;
-  SupportCounter* counter = options.resident_counter;
-  if (counter == nullptr) {
-    owned_counter = CreateCounter(options.backend, db, pool);
-    counter = owned_counter.get();
-  }
-  // Unconditional: a resident counter may carry a previous run's sink.
-  counter->set_metrics(options.collect_counter_metrics ? &stats.counting
-                                                       : nullptr);
-  std::optional<ScanBudget> budget;
-  if (options.time_budget_ms > 0) budget.emplace(options.time_budget_ms);
-  ScanBudget* scan_budget = budget.has_value() ? &*budget : nullptr;
-  counter->set_scan_budget(scan_budget);
-
+  LevelwiseRun run(db, options, algorithm,
+                   OptionsFingerprint(options, algorithm, combine_threshold),
+                   result.stats);
   // `lk` is the current level: frequent 1-itemsets after pass 1, then L_k.
   std::vector<Itemset> lk;
+  Precounts precounted;
   size_t k = 1;
-  double elapsed_base = 0;
-  bool sink_error_logged = false;
   if (resume != nullptr) {
-    stats = resume->stats;
+    PINCER_RETURN_IF_ERROR(run.Restore(*resume));
     result.frequent = resume->frequent;
     lk = resume->live_candidates;
+    for (const FrequentItemset& fi : resume->precounted) {
+      precounted.emplace_back(fi.itemset, fi.support);
+    }
     k = static_cast<size_t>(resume->next_pass);
-    // Checkpointed wall-clock covers completed work; this run adds its own.
-    elapsed_base = stats.elapsed_millis;
   }
-  stats.num_threads = pool->num_threads();
+  const uint64_t min_count = run.min_count();
 
-  const auto emit_checkpoint = [&](size_t next_pass) {
-    if (!options.checkpoint_sink) return;
-    DeliverCheckpoint(options,
-                      MakeCheckpoint(db, options, result, lk, next_pass,
-                                     elapsed_base + timer.ElapsedMillis()),
-                      sink_error_logged);
-  };
-  const auto finish = [&]() {
-    std::sort(result.frequent.begin(), result.frequent.end());
-    stats.elapsed_millis = elapsed_base + timer.ElapsedMillis();
-    // Every abort path latches the ScanBudget, so the latch is the single
-    // source of truth for "the time budget caused this".
-    stats.budget_exceeded = budget.has_value() && budget->exceeded();
-    // A resident counter outlives this run: detach the per-run sinks.
-    if (options.resident_counter != nullptr) {
-      counter->set_metrics(nullptr);
-      counter->set_scan_budget(nullptr);
-    }
-  };
-
-  // ---- Pass 1: 1-itemsets.
-  if (k <= 1) {
-    PassStats pass;
-    pass.pass = 1;
-    pass.num_candidates = db.num_items();
-    std::vector<uint64_t> counts;
-    {
-      ScopedMsTimer count_timer(pass.counting_ms);
-      if (options.use_array_fast_path) {
-        counts = CountSingletons(db, pool, scan_budget);
-      } else {
-        std::vector<Itemset> singles;
-        singles.reserve(db.num_items());
-        for (ItemId item = 0; item < db.num_items(); ++item) {
-          singles.push_back(Itemset{item});
-        }
-        counts = counter->CountSupports(singles);
-        pass.backend_used =
-            std::string(CounterBackendName(counter->backend_used()));
-      }
-    }
-    if (scan_budget != nullptr && scan_budget->exceeded()) {
-      stats.aborted = true;
-      finish();
-      return result;
-    }
-    ++stats.passes;
-    for (ItemId item = 0; item < db.num_items(); ++item) {
-      if (counts[item] >= min_count) {
-        lk.push_back(Itemset{item});
-        result.frequent.push_back({lk.back(), counts[item]});
-      }
-    }
-    pass.num_frequent = lk.size();
-    stats.total_candidates += pass.num_candidates;
-    stats.per_pass.push_back(pass);
-    if (options.verbose) {
-      PINCER_LOG(kInfo) << "apriori pass 1: " << lk.size() << "/"
-                        << db.num_items() << " items frequent";
-    }
-    k = 2;
-    emit_checkpoint(2);
-  }
-
-  // ---- Pass cap (options.max_passes): running pass k would exceed the cap
-  // while frequent work remains, so the run is truncated — which the
-  // options.h contract reports as aborted, matching pincer_search.cc.
-  if (options.max_passes > 0 && k > options.max_passes && lk.size() >= 2) {
-    stats.aborted = true;
-    finish();
-    return result;
-  }
-
-  // ---- Pass 2: 2-itemsets via the triangular array (no generation step).
-  if (k == 2) {
-    if (lk.size() >= 2) {
-      PassStats pass;
-      pass.pass = 2;
-      std::vector<ItemId> frequent_items;
-      frequent_items.reserve(lk.size());
-      for (const Itemset& single : lk) frequent_items.push_back(single[0]);
-      pass.num_candidates = lk.size() * (lk.size() - 1) / 2;
-
-      std::vector<Itemset> l2;
-      if (options.use_array_fast_path) {
-        PairCountMatrix matrix(frequent_items);
-        {
-          ScopedMsTimer count_timer(pass.counting_ms);
-          matrix.CountDatabase(db, pool, scan_budget);
-        }
-        if (scan_budget != nullptr && scan_budget->exceeded()) {
-          stats.aborted = true;
-          finish();
-          return result;
-        }
-        for (size_t i = 0; i < frequent_items.size(); ++i) {
-          for (size_t j = i + 1; j < frequent_items.size(); ++j) {
-            const uint64_t count =
-                matrix.PairCount(frequent_items[i], frequent_items[j]);
-            if (count >= min_count) {
-              l2.push_back(Itemset{frequent_items[i], frequent_items[j]});
-              result.frequent.push_back({l2.back(), count});
-            }
-          }
-        }
-      } else {
-        std::vector<Itemset> pairs;
-        pairs.reserve(pass.num_candidates);
-        for (size_t i = 0; i < frequent_items.size(); ++i) {
-          for (size_t j = i + 1; j < frequent_items.size(); ++j) {
-            pairs.push_back(Itemset{frequent_items[i], frequent_items[j]});
-          }
-        }
-        std::vector<uint64_t> counts;
-        {
-          ScopedMsTimer count_timer(pass.counting_ms);
-          counts = counter->CountSupports(pairs);
-        }
-        pass.backend_used =
-            std::string(CounterBackendName(counter->backend_used()));
-        if (scan_budget != nullptr && scan_budget->exceeded()) {
-          stats.aborted = true;
-          finish();
-          return result;
-        }
-        for (size_t i = 0; i < pairs.size(); ++i) {
-          if (counts[i] >= min_count) {
-            l2.push_back(pairs[i]);
-            result.frequent.push_back({pairs[i], counts[i]});
-          }
-        }
-      }
-      ++stats.passes;
-      pass.num_frequent = l2.size();
-      stats.total_candidates += pass.num_candidates;
-      stats.per_pass.push_back(pass);
-      if (options.verbose) {
-        PINCER_LOG(kInfo) << "apriori pass 2: " << l2.size() << "/"
-                          << pass.num_candidates << " pairs frequent";
-      }
-      lk = std::move(l2);
-      emit_checkpoint(3);
-    }
-    k = 3;
-  }
-
-  // ---- Passes k >= 3: Apriori-gen + backend counting.
-  while (lk.size() >= 2) {
-    double gen_ms = 0;
-    std::vector<Itemset> candidates;
-    {
-      ScopedMsTimer gen_timer(gen_ms);
-      candidates = AprioriGen(lk);
-    }
-    if (candidates.empty()) break;
-    // Pass cap, ordered after the termination test for the same reason as
-    // the budget check below: a complete run is never reported truncated.
-    if (options.max_passes > 0 && k > options.max_passes) {
-      stats.aborted = true;
-      break;
-    }
-    // Budget check ordered after the termination test so a run that is
-    // already complete is never misreported as aborted; checked after
-    // generation because with millions of candidates the generation step
-    // alone can overshoot the budget. Check() latches the same ScanBudget
-    // the counting scans poll, keeping stats.budget_exceeded in agreement
-    // with `aborted` for between-pass aborts.
-    if (scan_budget != nullptr && scan_budget->Check()) {
-      stats.aborted = true;
-      break;
-    }
-
+  for (;; ++k) {
     PassStats pass;
     pass.pass = k;
-    pass.num_candidates = candidates.size();
-    pass.candidate_gen_ms = gen_ms;
-
-    std::vector<uint64_t> counts;
-    {
-      ScopedMsTimer count_timer(pass.counting_ms);
-      counts = counter->CountSupports(candidates);
-    }
-    pass.backend_used =
-        std::string(CounterBackendName(counter->backend_used()));
-    if (scan_budget != nullptr && scan_budget->exceeded()) {
-      stats.aborted = true;
-      break;
-    }
-    ++stats.passes;
-    stats.total_candidates += candidates.size();
-    stats.reported_candidates += candidates.size();
     std::vector<Itemset> next;
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (counts[i] >= min_count) {
-        next.push_back(candidates[i]);
-        result.frequent.push_back({candidates[i], counts[i]});
+    const auto add_frequent = [&](const Itemset& itemset, uint64_t count) {
+      next.push_back(itemset);
+      result.frequent.push_back({itemset, count});
+    };
+    bool scanned = true;
+    if (k == 1) {
+      const std::vector<uint64_t> counts = run.CountItems(pass);
+      if (run.aborted()) break;
+      for (ItemId item = 0; item < db.num_items(); ++item) {
+        if (counts[item] >= min_count) {
+          add_frequent(Itemset{item}, counts[item]);
+        }
+      }
+    } else if (k == 2) {
+      // No generation step: C_2 is every pair of frequent items.
+      if (run.StopBeforePass(k, lk.size() >= 2)) break;
+      const PairCountMatrix pairs = run.CountPairs(lk, pass);
+      if (run.aborted()) break;
+      pairs.ForEachPair([&](ItemId a, ItemId b, uint64_t count) {
+        if (count >= min_count) add_frequent(Itemset{a, b}, count);
+      });
+    } else {
+      std::vector<Itemset> candidates;
+      {
+        ScopedMsTimer gen_timer(pass.candidate_gen_ms);
+        candidates = AprioriGen(lk);
+      }
+      std::vector<uint64_t> counts = TakePrecounts(candidates, precounted);
+      scanned = counts.empty();
+      if (scanned) {
+        if (run.StopBeforePass(k, !candidates.empty())) break;
+        std::vector<Itemset> optimistic;
+        if (candidates.size() <= combine_threshold) {
+          ScopedMsTimer gen_timer(pass.candidate_gen_ms);
+          optimistic = AprioriGen(candidates);
+        }
+        // One scan counts C_k and the optimistic C_{k+1} behind it.
+        const size_t level_size = candidates.size();
+        candidates.insert(candidates.end(),
+                          std::make_move_iterator(optimistic.begin()),
+                          std::make_move_iterator(optimistic.end()));
+        pass.num_candidates = candidates.size();
+        counts = run.Count(candidates, pass);
+        if (run.aborted()) break;
+        // AprioriGen output is sorted, so the precounts are too.
+        for (size_t i = level_size; i < candidates.size(); ++i) {
+          precounted.emplace_back(std::move(candidates[i]), counts[i]);
+        }
+        candidates.resize(level_size);
+        counts.resize(level_size);
+      }
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        if (counts[i] >= min_count) add_frequent(candidates[i], counts[i]);
       }
     }
-    pass.num_frequent = next.size();
-    stats.per_pass.push_back(pass);
-    if (options.verbose) {
-      PINCER_LOG(kInfo) << "apriori pass " << k << ": " << next.size() << "/"
-                        << candidates.size() << " candidates frequent";
+    if (scanned) {
+      pass.num_frequent = next.size();
+      run.RecordPass(std::move(pass));
     }
     lk = std::move(next);
-    ++k;
-    emit_checkpoint(k);
+    run.EmitCheckpoint(k + 1, [&](Checkpoint& checkpoint) {
+      checkpoint.frequent = result.frequent;
+      checkpoint.live_candidates = lk;
+      for (const auto& [itemset, count] : precounted) {
+        checkpoint.precounted.push_back({itemset, count});
+      }
+    });
   }
 
-  finish();
+  run.Finish();
+  std::sort(result.frequent.begin(), result.frequent.end());
   return result;
 }
 
@@ -318,15 +166,31 @@ FrequentSetResult AprioriRun(const TransactionDatabase& db,
 
 FrequentSetResult AprioriMine(const TransactionDatabase& db,
                               const MiningOptions& options) {
-  return AprioriRun(db, options, /*resume=*/nullptr);
+  return FrequentSetRun(db, options, "apriori", /*combine_threshold=*/0,
+                        /*resume=*/nullptr)
+      .value();
 }
 
 StatusOr<FrequentSetResult> AprioriResume(const TransactionDatabase& db,
                                           const MiningOptions& options,
                                           const Checkpoint& checkpoint) {
-  PINCER_RETURN_IF_ERROR(ValidateCheckpointForResume(
-      checkpoint, "apriori", OptionsFingerprint(options, "apriori"), db));
-  return AprioriRun(db, options, &checkpoint);
+  return FrequentSetRun(db, options, "apriori", /*combine_threshold=*/0,
+                        &checkpoint);
+}
+
+FrequentSetResult AprioriCombinedMine(const TransactionDatabase& db,
+                                      const MiningOptions& options,
+                                      const CombinedPassOptions& combined) {
+  return FrequentSetRun(db, options, "apriori-combined",
+                        combined.combine_threshold, /*resume=*/nullptr)
+      .value();
+}
+
+StatusOr<FrequentSetResult> AprioriCombinedResume(
+    const TransactionDatabase& db, const MiningOptions& options,
+    const Checkpoint& checkpoint, const CombinedPassOptions& combined) {
+  return FrequentSetRun(db, options, "apriori-combined",
+                        combined.combine_threshold, &checkpoint);
 }
 
 }  // namespace pincer

@@ -4,7 +4,8 @@
 // candidates of different sizes in one pass"). When the candidate set grows
 // small enough, the next level's candidates are generated optimistically
 // (treating the current candidates as frequent) and both levels are counted
-// in a single database pass, halving the tail of the pass sequence.
+// in a single database pass, halving the tail of the pass sequence. It is
+// the same driver as AprioriMine (apriori/apriori.cc), which never combines.
 
 #ifndef PINCER_APRIORI_APRIORI_COMBINED_H_
 #define PINCER_APRIORI_APRIORI_COMBINED_H_

@@ -8,16 +8,13 @@
 #include "core/candidate_gen.h"
 #include "core/mfcs.h"
 #include "core/mfs.h"
-#include "itemset/itemset_ops.h"
 #include "counting/array_counters.h"
-#include "counting/counter_factory.h"
-#include "counting/scan_budget.h"
+#include "itemset/itemset_ops.h"
 #include "itemset/itemset_set.h"
 #include "mining/checkpoint.h"
+#include "mining/levelwise_run.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace pincer {
 
@@ -39,30 +36,18 @@ class PincerDriver {
   PincerDriver(const TransactionDatabase& db, const MiningOptions& options)
       : db_(db),
         options_(options),
-        min_count_(db.MinSupportCount(options.min_support)),
-        owned_pool_(options.shared_pool != nullptr
-                        ? nullptr
-                        : std::make_unique<ThreadPool>(options.num_threads)),
-        pool_(options.shared_pool != nullptr ? options.shared_pool
-                                             : owned_pool_.get()),
-        owned_counter_(options.resident_counter != nullptr
-                           ? nullptr
-                           : CreateCounter(options.backend, db, pool_)),
-        counter_(options.resident_counter != nullptr
-                     ? options.resident_counter
-                     : owned_counter_.get()),
+        run_(db, options, "pincer", OptionsFingerprint(options, "pincer"),
+             stats_),
+        min_count_(run_.min_count()),
         mfcs_(db.num_items()) {
-    // Unconditional: a resident counter may carry a previous run's sink.
-    counter_->set_metrics(options_.collect_counter_metrics ? &stats_.counting
-                                                           : nullptr);
-    stats_.num_threads = pool_->num_threads();
-    mfcs_.set_thread_pool(pool_);
+    mfcs_.set_thread_pool(run_.pool());
   }
 
-  MaximalSetResult Run();
+  // Mines from pass `k` (1 for a fresh run) with live candidates `lk`.
+  MaximalSetResult Run(size_t k, std::vector<Itemset> lk);
 
-  // Restores mid-run state from a (validated) checkpoint; Run() then starts
-  // at its next_pass. InvalidArgument on any staleness mismatch.
+  // Restores mid-run state from a checkpoint; Run() then continues at its
+  // next_pass. InvalidArgument on any staleness mismatch.
   Status Restore(const Checkpoint& checkpoint);
 
  private:
@@ -72,10 +57,9 @@ class PincerDriver {
   // the initial MFCS element. Produces L_1.
   std::vector<Itemset> PassOne();
 
-  // Pass 2: counts all pairs of frequent items not covered by the MFS (2-D
-  // triangular array fast path or generic backend) plus unclassified MFCS
-  // elements. Produces L_2.
-  std::vector<Itemset> PassTwo(const std::vector<ItemId>& frequent_items);
+  // Pass 2: counts all pairs of the items of L_1 (2-D triangular array fast
+  // path or generic backend) plus unclassified MFCS elements. Produces L_2.
+  std::vector<Itemset> PassTwo(const std::vector<Itemset>& l1);
 
   // Pass k >= 3 over an explicit candidate list. Produces L_k. `gen_ms` is
   // the wall time Run() spent generating `candidates` (phase-timer
@@ -142,10 +126,6 @@ class PincerDriver {
            stats_.mfcs_disabled_at_pass == pass_number;
   }
 
-  // Records a counted itemset in the cache and, if frequent, in the
-  // bottom-up frequent log.
-  void RecordCount(const Itemset& itemset, uint64_t count, bool covered);
-
   // Returns the known support of `itemset`, consulting the pass-1 array,
   // the pass-2 triangular matrix, and the explicit cache. nullopt if the
   // itemset was never counted.
@@ -153,40 +133,17 @@ class PincerDriver {
 
   bool IsFrequentCount(uint64_t count) const { return count >= min_count_; }
 
-  // Latches the mid-scan time-budget abort: once a counting scan expires,
-  // the in-flight pass is discarded and the run stops. The pass functions
-  // call this right after every counting block, before using the counts.
-  bool ScanAborted() {
-    if (budget_.has_value() && budget_->exceeded()) scan_aborted_ = true;
-    return scan_aborted_;
-  }
-
-  // Records which backend served the generic CountSupports call that just
-  // ran (under kAuto, the adaptive per-pass pick). Called after each such
-  // call; passes served entirely by the §4.1.1 array fast paths keep the
-  // "array" default.
-  void RecordBackendUsed(PassStats& pass) {
-    pass.backend_used = std::string(CounterBackendName(counter_->backend_used()));
-  }
-
   // Hands the sink a snapshot for resuming at `next_pass` with live
-  // candidates `lk`. `elapsed_ms` is the cumulative wall clock (checkpoint
-  // base + this run so far).
-  void EmitCheckpoint(size_t next_pass, const std::vector<Itemset>& lk,
-                      double elapsed_ms);
+  // candidates `lk`.
+  void EmitCheckpoint(size_t next_pass, const std::vector<Itemset>& lk);
 
   const TransactionDatabase& db_;
   const MiningOptions& options_;
+  MiningStats stats_;
+  // Pool, counter, budget, stop rule and checkpoint header; one pool serves
+  // the counting backend, the pass-1/2 array fast paths and MFCS-gen.
+  LevelwiseRun run_;
   const uint64_t min_count_;
-  // One worker pool per run, shared by the counting backend and the
-  // pass-1/2 array fast paths; reused across passes. Declared before
-  // owned_counter_ so the pool outlives (and is ready for) the counter. In
-  // resident mode (options.shared_pool / options.resident_counter) the
-  // owned slots stay null and the raw pointers alias the caller's objects.
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_;
-  std::unique_ptr<SupportCounter> owned_counter_;
-  SupportCounter* counter_;
 
   Mfcs mfcs_;
   Mfs mfs_;
@@ -204,25 +161,7 @@ class PincerDriver {
   // time of discovery). Used for the final maximality merge, which is what
   // makes the adaptive variant correct after MFCS maintenance stops.
   std::vector<FrequentItemset> bottom_up_frequent_;
-  MiningStats stats_;
-
-  // Mid-scan budget (engaged by Run when options.time_budget_ms > 0).
-  std::optional<ScanBudget> budget_;
-  bool scan_aborted_ = false;
-  // Resume state (0 = fresh run). Set by Restore, consumed by Run.
-  size_t resume_next_pass_ = 0;
-  std::vector<Itemset> resume_live_candidates_;
-  double elapsed_base_ = 0;
-  bool sink_error_logged_ = false;
 };
-
-void PincerDriver::RecordCount(const Itemset& itemset, uint64_t count,
-                               bool covered) {
-  cache_.emplace(itemset, count);
-  if (!covered && IsFrequentCount(count)) {
-    bottom_up_frequent_.push_back({itemset, count});
-  }
-}
 
 std::optional<uint64_t> PincerDriver::LookupSupport(
     const Itemset& itemset) const {
@@ -332,19 +271,11 @@ void PincerDriver::CountAndClassifyMfcs(PassStats& pass) {
   std::vector<Itemset> elements = mfcs_.elements();
   if (elements.empty()) return;
 
-  std::vector<uint64_t> counts;
-  {
-    ScopedMsTimer timer(pass.counting_ms);
-    counts = counter_->CountSupports(elements);
-  }
-  RecordBackendUsed(pass);
-  // Tallies and classification only after a completed scan: an aborted scan
-  // returns partial counts, which must leave no trace.
-  if (ScanAborted()) return;
+  const std::vector<uint64_t> counts = run_.Count(elements, pass);
+  // Accounting and classification only after a completed scan: an aborted
+  // scan returns partial counts, which must leave no trace.
+  if (run_.aborted()) return;
   pass.num_mfcs_candidates = elements.size();
-  stats_.mfcs_candidates += elements.size();
-  stats_.reported_candidates += elements.size();
-  stats_.total_candidates += elements.size();
 
   std::vector<Itemset> infrequent;
   for (size_t i = 0; i < elements.size(); ++i) {
@@ -368,26 +299,8 @@ void PincerDriver::CountAndClassifyMfcs(PassStats& pass) {
 std::vector<Itemset> PincerDriver::PassOne() {
   PassStats pass;
   pass.pass = 1;
-  pass.num_candidates = db_.num_items();
-
-  {
-    ScopedMsTimer timer(pass.counting_ms);
-    if (options_.use_array_fast_path) {
-      singleton_counts_ = CountSingletons(db_, pool_,
-                                          budget_.has_value() ? &*budget_
-                                                              : nullptr);
-    } else {
-      std::vector<Itemset> singles;
-      singles.reserve(db_.num_items());
-      for (ItemId item = 0; item < db_.num_items(); ++item) {
-        singles.push_back(Itemset{item});
-      }
-      singleton_counts_ = counter_->CountSupports(singles);
-      RecordBackendUsed(pass);
-    }
-  }
-  if (ScanAborted()) return {};
-  stats_.total_candidates += db_.num_items();
+  singleton_counts_ = run_.CountItems(pass);
+  if (run_.aborted()) return {};
 
   std::vector<Itemset> infrequent;
   std::vector<Itemset> frequent;
@@ -401,12 +314,11 @@ std::vector<Itemset> PincerDriver::PassOne() {
     }
   }
   pass.num_frequent = frequent.size();
-  const size_t num_frequent_items = frequent.size();
 
   // Count the MFCS (initially the full itemset) in the same pass, as the
   // paper's line 6 does, then fold the infrequent singletons into MFCS-gen.
   CountAndClassifyMfcs(pass);
-  if (ScanAborted()) return {};
+  if (run_.aborted()) return {};
   {
     ScopedMsTimer timer(pass.mfcs_update_ms);
     UpdateMfcs(infrequent, 1, pass.num_frequent);
@@ -423,22 +335,14 @@ std::vector<Itemset> PincerDriver::PassOne() {
   } else {
     l1 = AugmentWithMfsSubsets(std::move(frequent), 1);
   }
-  ++stats_.passes;
   pass.mfcs_size_after = mfcs_.size();
-  stats_.per_pass.push_back(pass);
-  if (options_.verbose) {
-    PINCER_LOG(kInfo) << "pincer pass 1: " << num_frequent_items << "/"
-                      << db_.num_items() << " items frequent, |MFCS|="
-                      << mfcs_.size() << ", |MFS|=" << mfs_.size();
-  }
+  run_.RecordPass(std::move(pass));
   return l1;
 }
 
-std::vector<Itemset> PincerDriver::PassTwo(
-    const std::vector<ItemId>& frequent_items) {
+std::vector<Itemset> PincerDriver::PassTwo(const std::vector<Itemset>& l1) {
   PassStats pass;
   pass.pass = 2;
-  ScanBudget* scan_budget = budget_.has_value() ? &*budget_ : nullptr;
 
   // C_2 is conceptually every pair of frequent items not already covered by
   // an MFS element (§4.1.1: the 2-D array makes explicit generation
@@ -447,110 +351,39 @@ std::vector<Itemset> PincerDriver::PassTwo(
   // with unusual inputs.
   std::vector<Itemset> infrequent;
   std::vector<Itemset> l2;
-  auto classify_pair = [&](const ItemId a, const ItemId b, uint64_t count,
-                           bool cache_count) {
-    const Itemset pair{a, b};
-    // After an adaptive switch-off the loop is plain Apriori: covered pairs
-    // are ordinary frequent itemsets again.
-    const bool covered = maintain_mfcs_ && mfs_.CoveredBy(pair);
-    if (cache_count) {
-      cache_.emplace(pair, count);
-    }
-    if (covered) return;
-    if (IsFrequentCount(count)) {
-      bottom_up_frequent_.push_back({pair, count});
-      l2.push_back(pair);
-      ++pass.num_frequent;
-    } else if (maintain_mfcs_) {
-      // Only the MFCS update consumes infrequent pairs; skip materializing
-      // them once maintenance is off.
-      infrequent.push_back(pair);
-    }
-  };
-
-  // Apply the §3.5 batch pre-check before materializing a potentially huge
-  // infrequent-pair list (an allocation per pair).
-  auto precheck_batch = [&](size_t num_frequent_pairs,
-                            size_t num_infrequent_pairs) {
+  if (l1.size() >= 2) {
+    pair_matrix_ = run_.CountPairs(l1, pass);
+    if (run_.aborted()) return {};
+    // Apply the §3.5 batch pre-check before materializing a potentially
+    // huge infrequent-pair list (an allocation per pair).
+    const std::vector<uint64_t>& counts = pair_matrix_->raw_counts();
+    const size_t num_frequent_pairs = static_cast<size_t>(std::count_if(
+        counts.begin(), counts.end(),
+        [this](uint64_t count) { return IsFrequentCount(count); }));
     if (maintain_mfcs_ &&
-        ShouldDisableForBatch(num_infrequent_pairs, num_frequent_pairs)) {
+        ShouldDisableForBatch(counts.size() - num_frequent_pairs,
+                              num_frequent_pairs)) {
       DisableMfcs(2);
     }
-  };
-
-  if (options_.use_array_fast_path && frequent_items.size() >= 2) {
-    pair_matrix_.emplace(frequent_items);
-    {
-      ScopedMsTimer timer(pass.counting_ms);
-      pair_matrix_->CountDatabase(db_, pool_, scan_budget);
-    }
-    if (ScanAborted()) return {};
-    {
-      size_t num_frequent_pairs = 0;
-      size_t num_infrequent_pairs = 0;
-      for (size_t i = 0; i < frequent_items.size(); ++i) {
-        for (size_t j = i + 1; j < frequent_items.size(); ++j) {
-          if (IsFrequentCount(pair_matrix_->PairCount(frequent_items[i],
-                                                      frequent_items[j]))) {
-            ++num_frequent_pairs;
-          } else {
-            ++num_infrequent_pairs;
-          }
-        }
+    pair_matrix_->ForEachPair([&](ItemId a, ItemId b, uint64_t count) {
+      const Itemset pair{a, b};
+      // After an adaptive switch-off the loop is plain Apriori: covered
+      // pairs are ordinary frequent itemsets again.
+      if (maintain_mfcs_ && mfs_.CoveredBy(pair)) return;
+      if (IsFrequentCount(count)) {
+        bottom_up_frequent_.push_back({pair, count});
+        l2.push_back(pair);
+        ++pass.num_frequent;
+      } else if (maintain_mfcs_) {
+        // Only the MFCS update consumes infrequent pairs; skip
+        // materializing them once maintenance is off.
+        infrequent.push_back(pair);
       }
-      precheck_batch(num_frequent_pairs, num_infrequent_pairs);
-    }
-    for (size_t i = 0; i < frequent_items.size(); ++i) {
-      for (size_t j = i + 1; j < frequent_items.size(); ++j) {
-        // Counts of size-2 itemsets stay in the matrix; no cache entry.
-        classify_pair(frequent_items[i], frequent_items[j],
-                      pair_matrix_->PairCount(frequent_items[i],
-                                              frequent_items[j]),
-                      /*cache_count=*/false);
-      }
-    }
-  } else if (frequent_items.size() >= 2) {
-    std::vector<Itemset> pairs;
-    for (size_t i = 0; i < frequent_items.size(); ++i) {
-      for (size_t j = i + 1; j < frequent_items.size(); ++j) {
-        pairs.push_back(Itemset{frequent_items[i], frequent_items[j]});
-      }
-    }
-    std::vector<uint64_t> counts;
-    {
-      ScopedMsTimer timer(pass.counting_ms);
-      counts = counter_->CountSupports(pairs);
-    }
-    RecordBackendUsed(pass);
-    if (ScanAborted()) return {};
-    // Same §3.5 pre-check as the array path: classify the raw counts first
-    // so a huge infrequent batch disables MFCS maintenance *before*
-    // classify_pair materializes one Itemset per infrequent pair.
-    {
-      size_t num_frequent_pairs = 0;
-      size_t num_infrequent_pairs = 0;
-      for (uint64_t count : counts) {
-        if (IsFrequentCount(count)) {
-          ++num_frequent_pairs;
-        } else {
-          ++num_infrequent_pairs;
-        }
-      }
-      precheck_batch(num_frequent_pairs, num_infrequent_pairs);
-    }
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      classify_pair(pairs[i][0], pairs[i][1], counts[i], /*cache_count=*/true);
-    }
+    });
   }
-  const size_t num_pairs =
-      frequent_items.size() < 2
-          ? 0
-          : frequent_items.size() * (frequent_items.size() - 1) / 2;
-  pass.num_candidates = num_pairs;
 
   CountAndClassifyMfcs(pass);
-  if (ScanAborted()) return {};
-  stats_.total_candidates += num_pairs;
+  if (run_.aborted()) return {};
   {
     ScopedMsTimer timer(pass.mfcs_update_ms);
     UpdateMfcs(infrequent, 2, pass.num_frequent);
@@ -559,7 +392,6 @@ std::vector<Itemset> PincerDriver::PassTwo(
 
   // Re-apply line 8 with the MFS as updated this pass — or rebuild the
   // complete L_2 if the adaptive policy switched off during this pass.
-
   if (maintain_mfcs_) {
     l2.erase(std::remove_if(l2.begin(), l2.end(),
                             [this](const Itemset& pair) {
@@ -569,15 +401,8 @@ std::vector<Itemset> PincerDriver::PassTwo(
   } else if (JustDisabled(2)) {
     l2 = AugmentWithMfsSubsets(std::move(l2), 2);
   }
-
-  ++stats_.passes;
   pass.mfcs_size_after = mfcs_.size();
-  stats_.per_pass.push_back(pass);
-  if (options_.verbose) {
-    PINCER_LOG(kInfo) << "pincer pass 2: " << l2.size() << "/"
-                      << num_pairs << " pairs frequent, |MFCS|="
-                      << mfcs_.size() << ", |MFS|=" << mfs_.size();
-  }
+  run_.RecordPass(std::move(pass));
   return l2;
 }
 
@@ -592,18 +417,12 @@ std::vector<Itemset> PincerDriver::PassK(size_t k,
   std::vector<Itemset> lk;
   std::vector<Itemset> infrequent;
   if (!candidates.empty()) {
-    std::vector<uint64_t> counts;
-    {
-      ScopedMsTimer timer(pass.counting_ms);
-      counts = counter_->CountSupports(candidates);
-    }
-    RecordBackendUsed(pass);
-    if (ScanAborted()) return {};
-    stats_.total_candidates += candidates.size();
-    stats_.reported_candidates += candidates.size();
+    const std::vector<uint64_t> counts = run_.Count(candidates, pass);
+    if (run_.aborted()) return {};
     for (size_t i = 0; i < candidates.size(); ++i) {
-      RecordCount(candidates[i], counts[i], /*covered=*/false);
+      cache_.emplace(candidates[i], counts[i]);
       if (IsFrequentCount(counts[i])) {
+        bottom_up_frequent_.push_back({candidates[i], counts[i]});
         lk.push_back(candidates[i]);
         ++pass.num_frequent;
       } else {
@@ -613,7 +432,7 @@ std::vector<Itemset> PincerDriver::PassK(size_t k,
   }
 
   CountAndClassifyMfcs(pass);
-  if (ScanAborted()) return {};
+  if (run_.aborted()) return {};
   {
     ScopedMsTimer timer(pass.mfcs_update_ms);
     UpdateMfcs(infrequent, k, pass.num_frequent);
@@ -630,54 +449,35 @@ std::vector<Itemset> PincerDriver::PassK(size_t k,
   } else if (JustDisabled(k)) {
     lk = AugmentWithMfsSubsets(std::move(lk), k);
   }
-
-  ++stats_.passes;
   pass.mfcs_size_after = mfcs_.size();
-  stats_.per_pass.push_back(pass);
-  if (options_.verbose) {
-    PINCER_LOG(kInfo) << "pincer pass " << k << ": " << pass.num_frequent
-                      << "/" << candidates.size() << " candidates frequent, "
-                      << "|MFCS|=" << mfcs_.size() << ", |MFS|="
-                      << mfs_.size();
-  }
+  run_.RecordPass(std::move(pass));
   return lk;
 }
 
 void PincerDriver::EmitCheckpoint(size_t next_pass,
-                                  const std::vector<Itemset>& lk,
-                                  double elapsed_ms) {
-  if (!options_.checkpoint_sink) return;
-  Checkpoint checkpoint;
-  checkpoint.algorithm = "pincer";
-  checkpoint.next_pass = next_pass;
-  checkpoint.options_fingerprint = OptionsFingerprint(options_, "pincer");
-  checkpoint.database.rows = db_.size();
-  checkpoint.database.items = db_.num_items();
-  checkpoint.stats = stats_;
-  checkpoint.stats.elapsed_millis = elapsed_ms;
-  checkpoint.frequent = bottom_up_frequent_;
-  checkpoint.live_candidates = lk;
-  checkpoint.mfs = mfs_.elements();
-  checkpoint.mfcs = mfcs_.elements();
-  checkpoint.support_cache.reserve(cache_.size());
-  for (const auto& [itemset, count] : cache_) {
-    checkpoint.support_cache.push_back({itemset, count});
-  }
-  // The cache is an unordered map; sort for deterministic serialization.
-  std::sort(checkpoint.support_cache.begin(), checkpoint.support_cache.end());
-  checkpoint.singleton_counts = singleton_counts_;
-  if (pair_matrix_.has_value()) {
-    checkpoint.pair_items = pair_matrix_->frequent_items();
-    checkpoint.pair_counts = pair_matrix_->raw_counts();
-  }
-  DeliverCheckpoint(options_, checkpoint, sink_error_logged_);
+                                  const std::vector<Itemset>& lk) {
+  run_.EmitCheckpoint(next_pass, [&](Checkpoint& checkpoint) {
+    checkpoint.frequent = bottom_up_frequent_;
+    checkpoint.live_candidates = lk;
+    checkpoint.mfs = mfs_.elements();
+    checkpoint.mfcs = mfcs_.elements();
+    checkpoint.support_cache.reserve(cache_.size());
+    for (const auto& [itemset, count] : cache_) {
+      checkpoint.support_cache.push_back({itemset, count});
+    }
+    // The cache is an unordered map; sort for deterministic serialization.
+    std::sort(checkpoint.support_cache.begin(),
+              checkpoint.support_cache.end());
+    checkpoint.singleton_counts = singleton_counts_;
+    if (pair_matrix_.has_value()) {
+      checkpoint.pair_items = pair_matrix_->frequent_items();
+      checkpoint.pair_counts = pair_matrix_->raw_counts();
+    }
+  });
 }
 
 Status PincerDriver::Restore(const Checkpoint& checkpoint) {
-  PINCER_RETURN_IF_ERROR(ValidateCheckpointForResume(
-      checkpoint, "pincer", OptionsFingerprint(options_, "pincer"), db_));
-  stats_ = checkpoint.stats;
-  stats_.num_threads = pool_->num_threads();
+  PINCER_RETURN_IF_ERROR(run_.Restore(checkpoint));
   maintain_mfcs_ = !stats_.mfcs_disabled;
   current_pass_ = static_cast<size_t>(checkpoint.next_pass);
   bottom_up_frequent_ = checkpoint.frequent;
@@ -687,7 +487,7 @@ Status PincerDriver::Restore(const Checkpoint& checkpoint) {
   // Elements are restored in serialized (insertion) order, keeping the
   // resumed run's MFCS-gen behaviour identical to the uninterrupted run's.
   mfcs_ = Mfcs(db_.num_items(), checkpoint.mfcs);
-  mfcs_.set_thread_pool(pool_);
+  mfcs_.set_thread_pool(run_.pool());
   for (const FrequentItemset& fi : checkpoint.support_cache) {
     cache_.emplace(fi.itemset, fi.support);
   }
@@ -701,93 +501,34 @@ Status PincerDriver::Restore(const Checkpoint& checkpoint) {
           std::to_string(checkpoint.pair_counts.size()) + ")");
     }
   }
-  resume_next_pass_ = static_cast<size_t>(checkpoint.next_pass);
-  resume_live_candidates_ = checkpoint.live_candidates;
   return Status::OK();
 }
 
-MaximalSetResult PincerDriver::Run() {
-  Timer timer;
-  elapsed_base_ = stats_.elapsed_millis;
-  if (options_.time_budget_ms > 0) {
-    budget_.emplace(options_.time_budget_ms);
-    counter_->set_scan_budget(&*budget_);
-  }
-
-  std::vector<Itemset> lk;
-  size_t k = 3;
-  bool run_pass_two = false;
-  if (resume_next_pass_ == 0) {
-    std::vector<Itemset> l1 = PassOne();
-    if (!scan_aborted_) {
-      EmitCheckpoint(2, l1, elapsed_base_ + timer.ElapsedMillis());
-      lk = std::move(l1);
-      run_pass_two = true;
-    }
-  } else if (resume_next_pass_ == 2) {
-    lk = std::move(resume_live_candidates_);
-    run_pass_two = true;
-  } else {
-    lk = std::move(resume_live_candidates_);
-    k = resume_next_pass_;
-  }
-
-  if (run_pass_two && !scan_aborted_) {
-    // `lk` currently holds L_1.
-    std::vector<ItemId> frequent_items;
-    frequent_items.reserve(lk.size());
-    for (const Itemset& single : lk) frequent_items.push_back(single[0]);
-    if (frequent_items.size() >= 2 || (maintain_mfcs_ && !mfcs_.empty())) {
-      std::vector<Itemset> l2 = PassTwo(frequent_items);
-      if (!scan_aborted_) {
-        lk = std::move(l2);
-        EmitCheckpoint(3, lk, elapsed_base_ + timer.ElapsedMillis());
-      }
-    } else {
-      lk.clear();
-    }
-  }
-
+MaximalSetResult PincerDriver::Run(size_t k, std::vector<Itemset> lk) {
   // Generalized termination (DESIGN.md item 3): continue while there are
   // bottom-up candidates or live MFCS elements to classify.
-  const size_t max_passes =
-      options_.max_passes > 0 ? options_.max_passes : db_.num_items() + 2;
-  while (!scan_aborted_ && k <= max_passes) {
+  for (;; ++k) {
     // With a live MFCS, generation is join + recovery + new prune; after
     // the adaptive switch-off it is plain Apriori-gen over the complete L_k.
+    // Passes 1 and 2 generate nothing (all items; all pairs of L_1).
     double gen_ms = 0;
     std::vector<Itemset> candidates;
-    {
+    if (k >= 3) {
       ScopedMsTimer gen_timer(gen_ms);
       candidates = maintain_mfcs_ ? PincerCandidateGen(lk, mfs_)
                                   : AprioriGen(lk);
     }
-    if (candidates.empty() && (!maintain_mfcs_ || mfcs_.empty())) break;
-    // Ordered after the termination test so a completed run is never
-    // misreported as aborted. Check() latches the same ScanBudget the
-    // counting scans poll, so stats.budget_exceeded (derived from the latch
-    // at the end of the run) agrees with `aborted` for between-pass aborts
-    // exactly as it does for mid-scan ones.
-    if (budget_.has_value() && budget_->Check()) {
-      stats_.aborted = true;
+    const bool bottom_up_work =
+        k == 1 || (k == 2 ? lk.size() >= 2 : !candidates.empty());
+    if (run_.StopBeforePass(k, bottom_up_work ||
+                                   (maintain_mfcs_ && !mfcs_.empty()))) {
       break;
     }
-    lk = PassK(k, candidates, gen_ms);
-    if (scan_aborted_) break;
-    ++k;
-    EmitCheckpoint(k, lk, elapsed_base_ + timer.ElapsedMillis());
-  }
-  if (scan_aborted_) stats_.aborted = true;
-  // Leaving the loop at the pass cap with live MFCS elements means those
-  // elements were never classified: the run is truncated, and must say so —
-  // otherwise the stats JSON cannot distinguish it from a complete run.
-  if (k > max_passes && maintain_mfcs_ && !mfcs_.empty()) {
-    stats_.aborted = true;
-    if (options_.verbose) {
-      PINCER_LOG(kInfo) << "pincer: pass cap " << max_passes << " reached with "
-                        << mfcs_.size()
-                        << " unclassified MFCS element(s); result truncated";
-    }
+    lk = k == 1   ? PassOne()
+         : k == 2 ? PassTwo(lk)
+                  : PassK(k, candidates, gen_ms);
+    if (run_.aborted()) break;
+    EmitCheckpoint(k + 1, lk);
   }
 
   // Final maximality merge: in the pure algorithm this is a no-op (the MFS
@@ -797,21 +538,10 @@ MaximalSetResult PincerDriver::Run() {
     if (!mfs_.CoveredBy(fi.itemset)) mfs_.Add(fi.itemset, fi.support);
   }
 
-  // Every abort path latches the ScanBudget (mid-scan polls and the
-  // between-pass Check above), so the latch is the single source of truth
-  // for "the time budget caused this".
-  stats_.budget_exceeded = budget_.has_value() && budget_->exceeded();
-  // A resident counter outlives this run: detach the per-run sinks so the
-  // next run (or none) never touches dangling driver state.
-  if (options_.resident_counter != nullptr) {
-    counter_->set_metrics(nullptr);
-    counter_->set_scan_budget(nullptr);
-  }
-
+  run_.Finish();
   MaximalSetResult result;
   result.mfs = mfs_.Sorted();
   result.stats = std::move(stats_);
-  result.stats.elapsed_millis = elapsed_base_ + timer.ElapsedMillis();
   return result;
 }
 
@@ -820,7 +550,7 @@ MaximalSetResult PincerDriver::Run() {
 MaximalSetResult PincerSearch(const TransactionDatabase& db,
                               const MiningOptions& options) {
   PincerDriver driver(db, options);
-  return driver.Run();
+  return driver.Run(/*k=*/1, /*lk=*/{});
 }
 
 StatusOr<MaximalSetResult> PincerResume(const TransactionDatabase& db,
@@ -828,7 +558,8 @@ StatusOr<MaximalSetResult> PincerResume(const TransactionDatabase& db,
                                         const Checkpoint& checkpoint) {
   PincerDriver driver(db, options);
   PINCER_RETURN_IF_ERROR(driver.Restore(checkpoint));
-  return driver.Run();
+  return driver.Run(static_cast<size_t>(checkpoint.next_pass),
+                    checkpoint.live_candidates);
 }
 
 }  // namespace pincer

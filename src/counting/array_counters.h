@@ -55,6 +55,18 @@ class PairCountMatrix {
 
   const std::vector<ItemId>& frequent_items() const { return items_; }
 
+  /// Calls fn(a, b, count) for every pair a < b of frequent items, in
+  /// lexicographic order — the packed order of raw_counts().
+  template <typename Fn>
+  void ForEachPair(Fn&& fn) const {
+    size_t index = 0;
+    for (size_t i = 0; i < items_.size(); ++i) {
+      for (size_t j = i + 1; j < items_.size(); ++j) {
+        fn(items_[i], items_[j], counts_[index++]);
+      }
+    }
+  }
+
   /// The packed upper-triangle counts, row-major by rank, as filled by
   /// CountDatabase. Exposed for checkpointing.
   const std::vector<uint64_t>& raw_counts() const { return counts_; }

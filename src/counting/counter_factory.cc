@@ -3,7 +3,6 @@
 #include "counting/adaptive_counter.h"
 #include "counting/hash_tree.h"
 #include "counting/linear_counter.h"
-#include "counting/parallel_counter.h"
 #include "counting/trie_counter.h"
 #include "counting/vertical_counter.h"
 
@@ -19,8 +18,6 @@ std::string_view CounterBackendName(CounterBackend backend) {
       return "trie";
     case CounterBackend::kVertical:
       return "vertical";
-    case CounterBackend::kParallel:
-      return "parallel";
     case CounterBackend::kAuto:
       return "auto";
   }
@@ -49,9 +46,6 @@ std::unique_ptr<SupportCounter> CreateCounter(CounterBackend backend,
     case CounterBackend::kVertical:
       counter = std::make_unique<VerticalCounter>(db);
       break;
-    case CounterBackend::kParallel:
-      counter = std::make_unique<ParallelCounter>(db);
-      break;
     case CounterBackend::kAuto:
       counter = std::make_unique<AdaptiveCounter>(db);
       break;
@@ -61,9 +55,17 @@ std::unique_ptr<SupportCounter> CreateCounter(CounterBackend backend,
 }
 
 std::vector<CounterBackend> AllCounterBackends() {
-  return {CounterBackend::kLinear,   CounterBackend::kHashTree,
-          CounterBackend::kTrie,     CounterBackend::kVertical,
-          CounterBackend::kParallel, CounterBackend::kAuto};
+  return {CounterBackend::kLinear, CounterBackend::kHashTree,
+          CounterBackend::kTrie, CounterBackend::kVertical,
+          CounterBackend::kAuto};
+}
+
+StatusOr<CounterBackend> ParseCounterBackend(std::string_view name) {
+  if (name == "parallel") return CounterBackend::kTrie;
+  for (CounterBackend backend : AllCounterBackends()) {
+    if (name == CounterBackendName(backend)) return backend;
+  }
+  return Status::InvalidArgument("unknown backend: " + std::string(name));
 }
 
 }  // namespace pincer

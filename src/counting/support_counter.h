@@ -21,9 +21,8 @@ namespace pincer {
 /// differ only in data structure (and therefore speed). kLinear mirrors the
 /// paper's own link-list implementation (§4.1.1); kHashTree is the classic
 /// Apriori structure; kTrie is a prefix-tree variant; kVertical intersects
-/// per-item transaction bitmaps.
-/// kParallel is the trie walk distributed over worker threads (§5's
-/// parallel-mining direction).
+/// per-item transaction bitmaps. Every scanning backend splits its scans
+/// across the attached worker pool (§5's parallel-mining direction).
 /// kAuto picks between the horizontal trie and the vertical bitmaps per
 /// CountSupports call from a deterministic cost model over the database
 /// density and the candidate batch shape (see counting/adaptive_counter.h);
@@ -33,8 +32,8 @@ enum class CounterBackend {
   kHashTree,
   kTrie,
   kVertical,
-  kParallel,
-  kAuto,
+  // Explicit so that the value stays stable; 4 is retired.
+  kAuto = 5,
 };
 
 std::string_view CounterBackendName(CounterBackend backend);

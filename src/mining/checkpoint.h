@@ -83,11 +83,11 @@ struct Checkpoint {
   /// >= 3, sorted by itemset for deterministic serialization.
   std::vector<FrequentItemset> support_cache;
   /// Pincer only: the pass-1 singleton-count array (empty if pass 1 has
-  /// not completed or the generic path cached them elsewhere).
+  /// not completed).
   std::vector<uint64_t> singleton_counts;
   /// Pincer only: the pass-2 triangular pair-count matrix — the frequent
-  /// items it is built over and its packed counts (empty before pass 2 or
-  /// when the generic path was used).
+  /// items it is built over and its packed counts (empty before pass 2),
+  /// whether the array fast path or the backend counted them.
   std::vector<ItemId> pair_items;
   std::vector<uint64_t> pair_counts;
 

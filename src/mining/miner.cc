@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "counting/counter_factory.h"
 #include "itemset/itemset_set.h"
@@ -71,25 +72,33 @@ size_t CheckpointCombineThreshold(Algorithm algorithm) {
              : 0;
 }
 
+namespace {
+
+// A bottom-up run's answer as a maximal-set result: the MFS extracted from
+// the frequent set, with the run's stats (or the resume error).
+MaximalSetResult ToMaximal(FrequentSetResult full) {
+  MaximalSetResult result;
+  result.mfs = full.MaximalItemsets();
+  result.stats = std::move(full.stats);
+  return result;
+}
+
+StatusOr<MaximalSetResult> ToMaximal(StatusOr<FrequentSetResult> full) {
+  if (!full.ok()) return full.status();
+  return ToMaximal(std::move(full).value());
+}
+
+}  // namespace
+
 MaximalSetResult MineMaximal(const TransactionDatabase& db,
                              const MiningOptions& options,
                              Algorithm algorithm) {
   const MiningOptions effective = EffectiveMiningOptions(options, algorithm);
   switch (algorithm) {
-    case Algorithm::kApriori: {
-      const FrequentSetResult full = AprioriMine(db, effective);
-      MaximalSetResult result;
-      result.mfs = full.MaximalItemsets();
-      result.stats = full.stats;
-      return result;
-    }
-    case Algorithm::kAprioriCombined: {
-      const FrequentSetResult full = AprioriCombinedMine(db, effective);
-      MaximalSetResult result;
-      result.mfs = full.MaximalItemsets();
-      result.stats = full.stats;
-      return result;
-    }
+    case Algorithm::kApriori:
+      return ToMaximal(AprioriMine(db, effective));
+    case Algorithm::kAprioriCombined:
+      return ToMaximal(AprioriCombinedMine(db, effective));
     case Algorithm::kPincer:
     case Algorithm::kPincerAdaptive:
       return PincerSearch(db, effective);
@@ -103,24 +112,10 @@ StatusOr<MaximalSetResult> ResumeMaximal(const TransactionDatabase& db,
                                          const Checkpoint& checkpoint) {
   const MiningOptions effective = EffectiveMiningOptions(options, algorithm);
   switch (algorithm) {
-    case Algorithm::kApriori: {
-      StatusOr<FrequentSetResult> full =
-          AprioriResume(db, effective, checkpoint);
-      if (!full.ok()) return full.status();
-      MaximalSetResult result;
-      result.mfs = full->MaximalItemsets();
-      result.stats = full->stats;
-      return result;
-    }
-    case Algorithm::kAprioriCombined: {
-      StatusOr<FrequentSetResult> full =
-          AprioriCombinedResume(db, effective, checkpoint);
-      if (!full.ok()) return full.status();
-      MaximalSetResult result;
-      result.mfs = full->MaximalItemsets();
-      result.stats = full->stats;
-      return result;
-    }
+    case Algorithm::kApriori:
+      return ToMaximal(AprioriResume(db, effective, checkpoint));
+    case Algorithm::kAprioriCombined:
+      return ToMaximal(AprioriCombinedResume(db, effective, checkpoint));
     case Algorithm::kPincer:
     case Algorithm::kPincerAdaptive:
       return PincerResume(db, effective, checkpoint);

@@ -78,14 +78,12 @@ std::vector<DifferentialConfig> BuildConfigGrid(const DifferentialGrid& grid) {
             pincer.options.mfcs_cardinality_limit = limit;
             configs.push_back(pincer);
           }
-        }
 
-        // The combined-pass miner has no fast-path toggle: passes 1-2 are
-        // always the array paths.
-        DifferentialConfig combined;
-        combined.miner = Miner::kAprioriCombined;
-        combined.options = base;
-        configs.push_back(combined);
+          DifferentialConfig combined;
+          combined.miner = Miner::kAprioriCombined;
+          combined.options = options;
+          configs.push_back(combined);
+        }
 
         if (grid.include_extensions) {
           for (size_t partitions : grid.partition_counts) {
@@ -216,7 +214,7 @@ std::vector<std::string> CheckStatsInvariants(const MiningStats& stats,
     // its per-pass pick, not itself.
     if (pass.backend_used != "array" && pass.backend_used != "linear" &&
         pass.backend_used != "hash_tree" && pass.backend_used != "trie" &&
-        pass.backend_used != "vertical" && pass.backend_used != "parallel") {
+        pass.backend_used != "vertical") {
       fail("pass " + number(pass.pass) + " has invalid backend_used \"" +
            pass.backend_used + "\"");
     }

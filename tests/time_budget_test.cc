@@ -213,6 +213,18 @@ TEST(TimeBudget, CompletedRunNeverReportsBudgetExceeded) {
   const FrequentSetResult unhurried = AprioriMine(DeepDb(), options);
   EXPECT_FALSE(unhurried.stats.aborted);
   EXPECT_FALSE(unhurried.stats.budget_exceeded);
+
+  // Combined once checked the budget before generating the next level, so
+  // a run whose next level is empty was reported aborted with its complete
+  // frequent set. The stop rule runs the termination test first.
+  const TransactionDatabase two_pairs =
+      MakeDatabase({{0, 1}, {0, 1}, {2, 3}, {2, 3}});
+  options.time_budget_ms = 1e-9;
+  const FrequentSetResult combined = AprioriCombinedMine(two_pairs, options);
+  EXPECT_FALSE(combined.stats.aborted);
+  EXPECT_FALSE(combined.stats.budget_exceeded);
+  EXPECT_EQ(combined.frequent.size(), 6u);
+  EXPECT_EQ(combined.frequent, AprioriMine(two_pairs, options).frequent);
 }
 
 TEST(TimeBudget, PassCapTruncationIsAbortedButNotBudgetExceeded) {
@@ -241,6 +253,39 @@ TEST(TimeBudget, PassCapTruncationIsAbortedButNotBudgetExceeded) {
   const MaximalSetResult pincer = PincerSearch(db, options);
   EXPECT_TRUE(pincer.stats.aborted);
   EXPECT_FALSE(pincer.stats.budget_exceeded);
+  EXPECT_EQ(pincer.stats.passes, 1u);
+}
+
+TEST(TimeBudget, PassCapAfterAdaptiveSwitchOffIsAborted) {
+  // With mfcs_cardinality_limit = 2 the MFCS is dropped in pass 1 and the
+  // loop continues as plain Apriori. A cap that cuts that tail short must
+  // report the truncation: the final maximality merge over a partial
+  // bottom-up log yields itemsets that are not maximal.
+  RandomDbParams params;
+  params.num_items = 12;
+  params.num_transactions = 60;
+  params.item_probability = 0.5;
+  params.seed = 5;
+  const TransactionDatabase db = MakeRandomDatabase(params);
+  MiningOptions options;
+  options.min_support = 0.1;
+  options.mfcs_cardinality_limit = 2;
+  const MaximalSetResult uncapped = PincerSearch(db, options);
+  ASSERT_FALSE(uncapped.stats.aborted);
+  ASSERT_TRUE(uncapped.stats.mfcs_disabled);
+  ASSERT_GT(uncapped.stats.passes, 4u);
+
+  for (size_t cap = 1; cap <= 4; ++cap) {
+    options.max_passes = cap;
+    const MaximalSetResult capped = PincerSearch(db, options);
+    EXPECT_TRUE(capped.stats.aborted) << "cap " << cap;
+    EXPECT_FALSE(capped.stats.budget_exceeded) << "cap " << cap;
+    EXPECT_EQ(capped.stats.passes, cap) << "cap " << cap;
+  }
+  options.max_passes = uncapped.stats.passes;
+  const MaximalSetResult exact = PincerSearch(db, options);
+  EXPECT_FALSE(exact.stats.aborted);
+  EXPECT_EQ(exact.mfs, uncapped.mfs);
 }
 
 TEST(TimeBudget, GenerousPassCapDoesNotTruncate) {
