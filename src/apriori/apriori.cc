@@ -66,9 +66,7 @@ StatusOr<FrequentSetResult> FrequentSetRun(const TransactionDatabase& db,
                                            size_t combine_threshold,
                                            const Checkpoint* resume) {
   FrequentSetResult result;
-  LevelwiseRun run(db, options, algorithm,
-                   OptionsFingerprint(options, algorithm, combine_threshold),
-                   result.stats);
+  LevelwiseRun run(db, options, algorithm, result.stats, combine_threshold);
   // `lk` is the current level: frequent 1-itemsets after pass 1, then L_k.
   std::vector<Itemset> lk;
   Precounts precounted;

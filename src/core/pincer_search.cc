@@ -36,8 +36,7 @@ class PincerDriver {
   PincerDriver(const TransactionDatabase& db, const MiningOptions& options)
       : db_(db),
         options_(options),
-        run_(db, options, "pincer", OptionsFingerprint(options, "pincer"),
-             stats_),
+        run_(db, options, "pincer", stats_),
         min_count_(run_.min_count()),
         mfcs_(db.num_items()) {
     mfcs_.set_thread_pool(run_.pool());

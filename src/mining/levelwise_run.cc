@@ -10,13 +10,12 @@ namespace pincer {
 
 LevelwiseRun::LevelwiseRun(const TransactionDatabase& db,
                            const MiningOptions& options,
-                           std::string_view algorithm,
-                           std::string options_fingerprint,
-                           MiningStats& stats)
+                           std::string_view algorithm, MiningStats& stats,
+                           size_t combine_threshold)
     : db_(db),
       options_(options),
       algorithm_(algorithm),
-      options_fingerprint_(std::move(options_fingerprint)),
+      combine_threshold_(combine_threshold),
       stats_(stats),
       min_count_(db.MinSupportCount(options.min_support)),
       max_passes_(options.max_passes > 0 ? options.max_passes
@@ -48,7 +47,7 @@ LevelwiseRun::~LevelwiseRun() {
 
 Status LevelwiseRun::Restore(const Checkpoint& checkpoint) {
   PINCER_RETURN_IF_ERROR(ValidateCheckpointForResume(
-      checkpoint, algorithm_, options_fingerprint_, db_));
+      checkpoint, algorithm_, Fingerprint(), db_));
   stats_ = checkpoint.stats;
   stats_.num_threads = pool_->num_threads();
   // Checkpointed wall clock covers completed work; this run adds its own.
@@ -156,7 +155,7 @@ Checkpoint LevelwiseRun::CheckpointHeader(size_t next_pass) const {
   Checkpoint checkpoint;
   checkpoint.algorithm = algorithm_;
   checkpoint.next_pass = next_pass;
-  checkpoint.options_fingerprint = options_fingerprint_;
+  checkpoint.options_fingerprint = Fingerprint();
   checkpoint.database.rows = db_.size();
   checkpoint.database.items = db_.num_items();
   checkpoint.stats = stats_;

@@ -41,12 +41,12 @@ class LevelwiseRun {
   /// and the counter (options.resident_counter, or one of options.backend
   /// built on that pool), then attaches the metrics sink (when
   /// options.collect_counter_metrics) and the scan budget (when
-  /// options.time_budget_ms > 0). `algorithm` is the checkpoint id and
-  /// `options_fingerprint` the driver's OptionsFingerprint. `stats` is the
+  /// options.time_budget_ms > 0). `algorithm` is the checkpoint id; with
+  /// `combine_threshold` it keys the options fingerprint. `stats` is the
   /// driver's result stats; it must outlive the run.
   LevelwiseRun(const TransactionDatabase& db, const MiningOptions& options,
-               std::string_view algorithm, std::string options_fingerprint,
-               MiningStats& stats);
+               std::string_view algorithm, MiningStats& stats,
+               size_t combine_threshold = 0);
 
   /// A resident counter outlives the run: the destructor detaches the
   /// per-run sinks, on every exit path.
@@ -126,11 +126,15 @@ class LevelwiseRun {
     if (budget_.has_value() && budget_->exceeded()) stats_.aborted = true;
   }
   Checkpoint CheckpointHeader(size_t next_pass) const;
+  // Built on demand: only checkpoints and resumes need it.
+  std::string Fingerprint() const {
+    return OptionsFingerprint(options_, algorithm_, combine_threshold_);
+  }
 
   const TransactionDatabase& db_;
   const MiningOptions& options_;
   const std::string algorithm_;
-  const std::string options_fingerprint_;
+  const size_t combine_threshold_;
   MiningStats& stats_;
   const uint64_t min_count_;
   const size_t max_passes_;

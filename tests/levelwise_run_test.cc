@@ -26,7 +26,7 @@ TEST(LevelwiseRun, TerminationTestComesBeforeCapAndBudget) {
   options.max_passes = 1;
   options.time_budget_ms = 1e-9;
   MiningStats stats;
-  LevelwiseRun run(db, options, "apriori", "fp", stats);
+  LevelwiseRun run(db, options, "apriori", stats);
   stats.passes = 5;  // past the cap
   // No work left: the run is complete, whatever the cap and the clock say.
   EXPECT_TRUE(run.StopBeforePass(3, /*work_remains=*/false));
@@ -41,7 +41,7 @@ TEST(LevelwiseRun, PassCapComesBeforeBudget) {
   options.max_passes = 2;
   options.time_budget_ms = 1e-9;
   MiningStats stats;
-  LevelwiseRun run(db, options, "apriori", "fp", stats);
+  LevelwiseRun run(db, options, "apriori", stats);
   stats.passes = 2;
   EXPECT_TRUE(run.StopBeforePass(3, /*work_remains=*/true));
   EXPECT_TRUE(run.aborted());
@@ -55,7 +55,7 @@ TEST(LevelwiseRun, BudgetIsPolledFromPassThreeOn) {
   MiningOptions options;
   options.time_budget_ms = 1e-9;
   MiningStats stats;
-  LevelwiseRun run(db, options, "apriori", "fp", stats);
+  LevelwiseRun run(db, options, "apriori", stats);
   EXPECT_FALSE(run.StopBeforePass(1, /*work_remains=*/true));
   EXPECT_FALSE(run.StopBeforePass(2, /*work_remains=*/true));
   EXPECT_FALSE(run.aborted());
@@ -69,7 +69,7 @@ TEST(LevelwiseRun, AutomaticCapIsItemsPlusTwo) {
   const TransactionDatabase db = SmallDb();  // 4 items
   MiningOptions options;
   MiningStats stats;
-  LevelwiseRun run(db, options, "pincer", "fp", stats);
+  LevelwiseRun run(db, options, "pincer", stats);
   stats.passes = 5;
   EXPECT_FALSE(run.StopBeforePass(6, /*work_remains=*/true));
   stats.passes = 6;
@@ -86,8 +86,8 @@ TEST(LevelwiseRun, FastAndBackendPassesOneAndTwoAgree) {
     generic.use_array_fast_path = false;
     MiningStats fast_stats;
     MiningStats generic_stats;
-    LevelwiseRun fast_run(db, fast, "apriori", "fp", fast_stats);
-    LevelwiseRun generic_run(db, generic, "apriori", "fp", generic_stats);
+    LevelwiseRun fast_run(db, fast, "apriori", fast_stats);
+    LevelwiseRun generic_run(db, generic, "apriori", generic_stats);
 
     PassStats fast_one;
     PassStats generic_one;
@@ -123,7 +123,7 @@ TEST(LevelwiseRun, RecordPassKeepsTheCandidateAccounting) {
   const TransactionDatabase db = SmallDb();
   MiningOptions options;
   MiningStats stats;
-  LevelwiseRun run(db, options, "pincer", "fp", stats);
+  LevelwiseRun run(db, options, "pincer", stats);
   for (size_t k = 1; k <= 3; ++k) {
     PassStats pass;
     pass.pass = k;
@@ -150,7 +150,8 @@ TEST(LevelwiseRun, CheckpointHeaderRoundTripsThroughRestore) {
   };
   MiningStats stats;
   {
-    LevelwiseRun run(db, options, "apriori", "fp-a", stats);
+    LevelwiseRun run(db, options, "apriori-combined", stats,
+                     /*combine_threshold=*/7);
     PassStats pass;
     pass.pass = 1;
     pass.num_candidates = 4;
@@ -161,24 +162,29 @@ TEST(LevelwiseRun, CheckpointHeaderRoundTripsThroughRestore) {
   }
   ASSERT_EQ(delivered.size(), 1u);
   const Checkpoint& checkpoint = delivered[0];
-  EXPECT_EQ(checkpoint.algorithm, "apriori");
+  EXPECT_EQ(checkpoint.algorithm, "apriori-combined");
   EXPECT_EQ(checkpoint.next_pass, 2u);
-  EXPECT_EQ(checkpoint.options_fingerprint, "fp-a");
+  EXPECT_EQ(checkpoint.options_fingerprint,
+            OptionsFingerprint(options, "apriori-combined", 7));
   EXPECT_EQ(checkpoint.database.rows, db.size());
   EXPECT_EQ(checkpoint.database.items, db.num_items());
   EXPECT_EQ(checkpoint.stats.passes, 1u);
   EXPECT_EQ(checkpoint.live_candidates, (std::vector<Itemset>{Itemset{0}}));
 
   MiningStats resumed;
-  LevelwiseRun run(db, options, "apriori", "fp-a", resumed);
+  LevelwiseRun run(db, options, "apriori-combined", resumed, 7);
   ASSERT_TRUE(run.Restore(checkpoint).ok());
   EXPECT_EQ(resumed.passes, 1u);
   EXPECT_EQ(resumed.total_candidates, 4u);
 
   MiningStats other;
-  LevelwiseRun mismatched(db, options, "apriori", "fp-b", other);
-  EXPECT_FALSE(mismatched.Restore(checkpoint).ok());
-  LevelwiseRun wrong_algorithm(db, options, "pincer", "fp-a", other);
+  LevelwiseRun other_threshold(db, options, "apriori-combined", other, 8);
+  EXPECT_FALSE(other_threshold.Restore(checkpoint).ok());
+  MiningOptions stricter = options;
+  stricter.min_support = 0.5;
+  LevelwiseRun other_options(db, stricter, "apriori-combined", other, 7);
+  EXPECT_FALSE(other_options.Restore(checkpoint).ok());
+  LevelwiseRun wrong_algorithm(db, options, "pincer", other);
   EXPECT_FALSE(wrong_algorithm.Restore(checkpoint).ok());
 }
 
@@ -212,7 +218,7 @@ TEST(LevelwiseRun, DetachesAResidentCounterOnEveryExit) {
   options.time_budget_ms = 60000;
   MiningStats stats;
   {
-    LevelwiseRun run(db, options, "apriori", "fp", stats);
+    LevelwiseRun run(db, options, "apriori", stats);
     EXPECT_EQ(counter.metrics(), &stats.counting);
     EXPECT_NE(counter.budget(), nullptr);
     PassStats pass;
@@ -228,7 +234,7 @@ TEST(LevelwiseRun, DetachesAResidentCounterOnEveryExit) {
   stale.algorithm = "pincer";
   stale.next_pass = 2;
   {
-    LevelwiseRun run(db, options, "apriori", "fp", stats);
+    LevelwiseRun run(db, options, "apriori", stats);
     EXPECT_FALSE(run.Restore(stale).ok());
   }
   EXPECT_EQ(counter.metrics(), nullptr);
