@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,14 @@ struct HarnessCase {
   const char* name;  // corpus/regressions subdirectory
   HarnessFn fn;
 };
+
+// Prints a case as its name. gtest's default printer would dump the struct's
+// bytes, which are pointer values: they move with every change to the test
+// binary's layout and, under ASLR, from one process to the next, so the
+// reported test names would never be the same twice.
+void PrintTo(const HarnessCase& harness, std::ostream* os) {
+  *os << harness.name;
+}
 
 class FuzzReplayTest : public ::testing::TestWithParam<HarnessCase> {};
 
