@@ -184,7 +184,7 @@ void BackendComparison(const TransactionDatabase& db, double min_support) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchConfig config = bench::ParseBenchArgs(argc, argv);
+  const bench::BenchConfig config = bench::ParseBenchArgs(argc, argv, 10);
   const TransactionDatabase db = MakeConcentratedDb(config.scale);
   ablation_db_label = "T20.I10.D" + std::to_string(db.size());
   ablation_db_size = db.size();

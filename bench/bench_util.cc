@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -10,6 +9,7 @@
 #include "counting/counter_factory.h"
 #include "data/database_stats.h"
 #include "mining/miner.h"
+#include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/metrics.h"
 #include "util/table_printer.h"
@@ -90,50 +90,27 @@ void RecordJsonRow(const JsonRow& row, const MiningStats& stats) {
   FlushJsonRecords();
 }
 
-BenchConfig ParseBenchArgs(int argc, char** argv) {
+BenchConfig ParseBenchArgs(int argc, char** argv, size_t default_scale) {
   BenchConfig config;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) {
-      config.scale = std::strtoul(arg.c_str() + 8, nullptr, 10);
-      if (config.scale == 0) config.scale = 1;
-      config.scale_explicit = true;
-    } else if (arg.rfind("--backend=", 0) == 0) {
-      const StatusOr<CounterBackend> parsed =
-          ParseCounterBackend(arg.substr(10));
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-        // NOLINTNEXTLINE(concurrency-mt-unsafe): single-threaded CLI setup
-        std::exit(2);
-      }
-      config.backend = *parsed;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      config.num_threads = std::strtoul(arg.c_str() + 10, nullptr, 10);
-    } else if (arg == "--skip-apriori") {
-      config.skip_apriori = true;
-    } else if (arg == "--full") {
-      config.scale = 1;
-      config.scale_explicit = true;
-    } else if (arg.rfind("--budget=", 0) == 0) {
-      config.time_budget_ms = std::strtod(arg.c_str() + 9, nullptr);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      config.json_path = arg.substr(7);
-      if (config.json_path.empty()) {
-        std::fprintf(stderr, "--json needs a file path\n");
-        // NOLINTNEXTLINE(concurrency-mt-unsafe): single-threaded CLI setup
-        std::exit(2);
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--scale=N] [--full] [--backend=trie|hash_tree|"
-                   "linear|vertical|auto] [--threads=N] "
-                   "[--skip-apriori] "
-                   "[--budget=MS] [--json=FILE]\n",
-                   argv[0]);
-      // NOLINTNEXTLINE(concurrency-mt-unsafe): single-threaded CLI setup
-      std::exit(2);
-    }
-  }
+  config.scale = default_scale;
+  using enum FlagCheck;
+  Flags flags(argv[0]);
+  flags.Number("scale", &config.scale, "divide |D| = 100K by N", kPositive)
+      .Custom("full", "", "the paper's |D| (--scale=1)",
+              [&config](std::string_view) {
+                config.scale = 1;
+                return Status::OK();
+              })
+      .Enum("backend", &config.backend, ParseCounterBackend,
+            CounterBackendName, AllCounterBackends(), "counting backend")
+      .Number("threads", &config.num_threads, "counting threads, 0 = all")
+      .Bool("skip-apriori", &config.skip_apriori, "Pincer rows only")
+      .Number("budget", &config.time_budget_ms, "soft budget, 0 = none",
+              kNonNegativeMs)
+      .String("json", "FILE", &config.json_path, "rows as JSON records",
+              kNonEmptyPath);
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): single-threaded CLI setup
+  if (!flags.ParseArgv(argc, argv, 1)) std::exit(2);
   if (!config.json_path.empty() && JsonPath() != config.json_path) {
     const bool first = JsonPath().empty();
     JsonPath() = config.json_path;

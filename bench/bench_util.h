@@ -19,13 +19,9 @@ namespace bench {
 
 /// Command-line configuration shared by the figure harnesses.
 struct BenchConfig {
-  /// Divide |D| by this factor (paper scale is 100K transactions; the
-  /// default 10 gives 10K-row databases that reproduce the shapes in
-  /// seconds). Pass --scale=1 for the paper's full |D|.
+  /// Divide |D| by this factor (paper scale is 100K transactions). Each
+  /// harness picks its default; --scale=1 or --full gives the paper's |D|.
   size_t scale = 10;
-  /// True if --scale/--full was given; harnesses with a different preferred
-  /// default (fig4 uses 100) only override when this is false.
-  bool scale_explicit = false;
   /// Counting backend for both algorithms.
   CounterBackend backend = CounterBackend::kTrie;
   /// Counting worker threads for both algorithms (MiningOptions::num_threads:
@@ -48,9 +44,9 @@ struct BenchConfig {
   std::string json_path;
 };
 
-/// Parses --scale=N, --backend=NAME, --threads=N, --skip-apriori,
-/// --budget=MS, --json=FILE flags. Unknown flags abort with a usage message.
-BenchConfig ParseBenchArgs(int argc, char** argv);
+/// Parses the harness flags over `default_scale`. A bad flag or value
+/// prints the usage generated from the flag table and exits 2.
+BenchConfig ParseBenchArgs(int argc, char** argv, size_t default_scale);
 
 /// True once ParseBenchArgs has seen --json=FILE in this process.
 bool JsonOutputEnabled();

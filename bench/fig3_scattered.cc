@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   using pincer::bench::ParseBenchArgs;
   using pincer::bench::RunExperiment;
 
-  const BenchConfig config = ParseBenchArgs(argc, argv);
+  const BenchConfig config = ParseBenchArgs(argc, argv, 10);
 
   pincer::QuestParams base;
   base.num_transactions = 100000;

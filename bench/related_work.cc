@@ -110,7 +110,7 @@ void Compare(const TransactionDatabase& db, const std::string& db_name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchConfig config = bench::ParseBenchArgs(argc, argv);
+  const bench::BenchConfig config = bench::ParseBenchArgs(argc, argv, 10);
 
   for (double avg_pattern_size : {6.0, 10.0}) {
     QuestParams params;

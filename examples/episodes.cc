@@ -7,11 +7,11 @@
 //
 //   ./episodes [sequence_length] [window_size]
 
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
 #include "mining/miner.h"
+#include "util/parse_number.h"
 #include "util/prng.h"
 
 namespace {
@@ -54,8 +54,16 @@ std::vector<pincer::ItemId> SimulateEventLog(size_t length, size_t num_types,
 int main(int argc, char** argv) {
   using namespace pincer;
 
-  const size_t length = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
-  const size_t window = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 8;
+  const StatusOr<size_t> length_arg =
+      argc > 1 ? ParseSize(argv[1], "sequence_length") : size_t{20000};
+  const StatusOr<size_t> window_arg =
+      argc > 2 ? ParseSize(argv[2], "window_size") : size_t{8};
+  if (!length_arg.ok() || !window_arg.ok()) {
+    std::cerr << "usage: episodes [sequence_length] [window_size]\n";
+    return 2;
+  }
+  const size_t length = *length_arg;
+  const size_t window = *window_arg;
   constexpr size_t kNumTypes = 24;
 
   const std::vector<ItemId> log = SimulateEventLog(length, kNumTypes, 7);

@@ -1,29 +1,24 @@
 // Synthetic-data generator CLI: writes an IBM-Quest-style database to a
 // basket file that mine_cli (or any other tool) can consume.
 //
-//   ./generate_data out.basket [--d=100000] [--t=10] [--i=4] [--n=1000]
-//                   [--l=2000] [--seed=S]
+//   ./generate_data out.basket [flags]
 //
-// Defaults produce the paper's T10.I4.D100K with |L|=2000, N=1000.
+// Defaults produce the paper's T10.I4.D100K with |L|=2000, N=1000. Run with
+// no arguments, or with an unknown flag, for the usage the flag table in
+// main() generates.
+//
+// Exit status: 0 on success, 1 on a failed write, 2 on bad usage.
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "data/database_io.h"
 #include "data/database_stats.h"
 #include "gen/quest_gen.h"
+#include "util/flags.h"
 
 int main(int argc, char** argv) {
   using namespace pincer;
-
-  if (argc < 2) {
-    std::cerr << "usage: " << argv[0]
-              << " <out.basket> [--d=N] [--t=T] [--i=I] [--n=N_ITEMS] "
-                 "[--l=PATTERNS] [--seed=S]\n";
-    return 2;
-  }
-  const std::string path = argv[1];
 
   QuestParams params;
   params.num_transactions = 100000;
@@ -31,29 +26,17 @@ int main(int argc, char** argv) {
   params.avg_pattern_size = 4;
   params.num_items = 1000;
   params.num_patterns = 2000;
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](size_t prefix) {
-      return std::strtod(arg.c_str() + prefix, nullptr);
-    };
-    if (arg.rfind("--d=", 0) == 0) {
-      params.num_transactions = static_cast<size_t>(value(4));
-    } else if (arg.rfind("--t=", 0) == 0) {
-      params.avg_transaction_size = value(4);
-    } else if (arg.rfind("--i=", 0) == 0) {
-      params.avg_pattern_size = value(4);
-    } else if (arg.rfind("--n=", 0) == 0) {
-      params.num_items = static_cast<size_t>(value(4));
-    } else if (arg.rfind("--l=", 0) == 0) {
-      params.num_patterns = static_cast<size_t>(value(4));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      params.seed = static_cast<uint64_t>(value(7));
-    } else {
-      std::cerr << "unknown flag: " << arg << "\n";
-      return 2;
-    }
-  }
+  using enum FlagCheck;
+  Flags flags("generate_data", "<out.basket>");
+  flags.Number("d", &params.num_transactions, "|D|", kPositive)
+      .Number("t", &params.avg_transaction_size, "mean |T|", kPositive)
+      .Number("i", &params.avg_pattern_size, "mean |I|", kPositive)
+      .Number("n", &params.num_items, "N, items", kPositive)
+      .Number("l", &params.num_patterns, "|L|, patterns", kPositive)
+      .Number("seed", &params.seed, "generator seed");
+  if (argc < 2) return flags.UsageError();
+  if (!flags.ParseArgv(argc, argv, 2)) return 2;
+  const std::string path = argv[1];
 
   std::cerr << "Generating " << params.Name() << " ...\n";
   const StatusOr<TransactionDatabase> db = GenerateQuestDatabase(params);

@@ -5,27 +5,34 @@
 //   ./market_basket [num_transactions] [min_support_percent]
 //   e.g. ./market_basket 20000 1.0
 
-#include <cstdlib>
 #include <iostream>
 
 #include "data/database_stats.h"
 #include "gen/quest_gen.h"
 #include "mining/miner.h"
+#include "util/parse_number.h"
 #include "util/table_printer.h"
 
 int main(int argc, char** argv) {
   using namespace pincer;
 
+  const StatusOr<size_t> transactions_arg =
+      argc > 1 ? ParseSize(argv[1], "num_transactions") : size_t{10000};
+  const StatusOr<double> support_arg =
+      argc > 2 ? ParseDouble(argv[2], "min_support_percent") : 1.0;
+  if (!transactions_arg.ok() || !support_arg.ok()) {
+    std::cerr << "usage: market_basket [num_transactions] "
+                 "[min_support_percent]\n";
+    return 2;
+  }
   QuestParams params;
-  params.num_transactions = argc > 1 ? std::strtoul(argv[1], nullptr, 10)
-                                     : 10000;
+  params.num_transactions = *transactions_arg;
   params.avg_transaction_size = 10;
   params.avg_pattern_size = 4;
   params.num_items = 500;
   params.num_patterns = 100;
   params.seed = 7;
-  const double min_support =
-      (argc > 2 ? std::strtod(argv[2], nullptr) : 1.0) / 100.0;
+  const double min_support = *support_arg / 100.0;
 
   std::cout << "Generating " << params.Name() << " ...\n";
   const StatusOr<TransactionDatabase> db = GenerateQuestDatabase(params);

@@ -1,38 +1,16 @@
 // Command-line miner: the end-to-end tool a downstream user would run on
 // their own basket file.
 //
-//   ./mine_cli <database.basket> [options]
-//     --min-support=0.01         fraction of |D| (default 0.01)
-//     --algorithm=pincer         apriori | pincer | pincer-adaptive
-//     --backend=trie             trie | hash_tree | linear | vertical |
-//                                auto (auto picks trie or vertical per
-//                                pass from a deterministic cost model; the
-//                                pick lands in the stats as per-pass
-//                                backend_used); parallel is a deprecated
-//                                alias for trie
-//     --threads=1                counting worker threads (0 = all cores);
-//                                results are identical for every value
-//     --rules=<min_confidence>   also generate association rules
-//     --stats                    print per-pass statistics
-//     --stats-json=FILE          write run statistics as JSON (schema in
-//                                EXPERIMENTS.md; also enables backend
-//                                counter metrics)
-//     --malformed=strict|skip    what to do with rows that fail to parse:
-//                                fail the run (default) or drop and count
-//                                them (reported as stats.rows_skipped)
-//     --checkpoint=FILE          write a resumable checkpoint after every
-//                                completed pass (atomic: temp + rename)
-//     --resume                   resume from --checkpoint's file instead of
-//                                starting over; rejects a checkpoint from a
-//                                different database, algorithm, or options
+//   ./mine_cli <database.basket> [flags]
+//
+// The flag table in main() is the documentation: run with no arguments, or
+// with an unknown flag, for the usage it generates.
 //
 // The PINCER_FAILPOINTS environment variable arms fault-injection points
 // (see util/failpoint.h) — used by the crash-recovery CI job.
 //
 // Exit status: 0 on success, 1 on bad input, 2 on bad usage.
 
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -46,119 +24,52 @@
 #include "mining/miner.h"
 #include "rules/mfs_rule_gen.h"
 #include "util/failpoint.h"
+#include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/metrics.h"
-#include "util/parse_number.h"
-
-namespace {
-
-int Usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " <database.basket> [--min-support=F] "
-               "[--algorithm=apriori|pincer|pincer-adaptive] "
-               "[--backend=trie|hash_tree|linear|vertical|auto] "
-               "[--threads=N] "
-               "[--rules=MIN_CONFIDENCE] [--stats] [--stats-json=FILE] "
-               "[--malformed=strict|skip] [--checkpoint=FILE] [--resume]\n";
-  return 2;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace pincer;
 
-  if (argc < 2) return Usage(argv[0]);
-  const std::string path = argv[1];
-
-  if (const Status armed = failpoint::ArmFromEnv(); !armed.ok()) {
-    std::cerr << "PINCER_FAILPOINTS: " << armed << "\n";
-    return 2;
-  }
-
   MiningOptions options;
   Algorithm algorithm = Algorithm::kPincerAdaptive;
-  double min_confidence = -1.0;
+  std::optional<double> min_confidence;
   bool print_stats = false;
   bool resume = false;
   std::string stats_json_path;
   std::string checkpoint_path;
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--min-support=", 0) == 0) {
-      const StatusOr<double> parsed =
-          ParseDouble(arg.substr(14), "--min-support");
-      if (!parsed.ok()) {
-        std::cerr << parsed.status() << "\n";
-        return 2;
-      }
-      options.min_support = *parsed;
-      if (options.min_support <= 0.0 || options.min_support > 1.0) {
-        std::cerr << "min-support must be in (0, 1]\n";
-        return 2;
-      }
-    } else if (arg.rfind("--algorithm=", 0) == 0) {
-      const StatusOr<Algorithm> parsed = ParseAlgorithm(arg.substr(12));
-      if (!parsed.ok()) {
-        std::cerr << parsed.status() << "\n";
-        return 2;
-      }
-      algorithm = *parsed;
-    } else if (arg.rfind("--backend=", 0) == 0) {
-      const StatusOr<CounterBackend> parsed =
-          ParseCounterBackend(arg.substr(10));
-      if (!parsed.ok()) {
-        std::cerr << parsed.status() << "\n";
-        return 2;
-      }
-      options.backend = *parsed;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      const StatusOr<size_t> parsed =
-          ParseSize(arg.substr(10), "--threads");
-      if (!parsed.ok()) {
-        std::cerr << parsed.status() << " (0 = all cores)\n";
-        return 2;
-      }
-      options.num_threads = *parsed;
-    } else if (arg.rfind("--rules=", 0) == 0) {
-      const StatusOr<double> parsed = ParseDouble(arg.substr(8), "--rules");
-      if (!parsed.ok()) {
-        std::cerr << parsed.status() << "\n";
-        return 2;
-      }
-      min_confidence = *parsed;
-      if (min_confidence < 0.0 || min_confidence > 1.0) {
-        std::cerr << "--rules confidence must be in [0, 1]\n";
-        return 2;
-      }
-    } else if (arg == "--stats") {
-      print_stats = true;
-    } else if (arg.rfind("--stats-json=", 0) == 0) {
-      stats_json_path = arg.substr(13);
-      if (stats_json_path.empty()) {
-        std::cerr << "--stats-json needs a file path\n";
-        return 2;
-      }
-    } else if (arg.rfind("--malformed=", 0) == 0) {
-      const std::optional<MalformedRowPolicy> policy =
-          ParseMalformedRowPolicy(arg.substr(12));
-      if (!policy.has_value()) {
-        std::cerr << "--malformed must be 'strict' or 'skip'\n";
-        return 2;
-      }
-      options.malformed_rows = *policy;
-    } else if (arg.rfind("--checkpoint=", 0) == 0) {
-      checkpoint_path = arg.substr(13);
-      if (checkpoint_path.empty()) {
-        std::cerr << "--checkpoint needs a file path\n";
-        return 2;
-      }
-    } else if (arg == "--resume") {
-      resume = true;
-    } else {
-      return Usage(argv[0]);
-    }
+  using enum FlagCheck;
+  Flags flags("mine_cli", "<database.basket>");
+  flags
+      .Number("min-support", &options.min_support, "fraction of |D|",
+              kSupportFraction)
+      .Enum("algorithm", &algorithm, ParseAlgorithm, AlgorithmName,
+            kAllAlgorithms, "mining algorithm")
+      .Enum("backend", &options.backend, ParseCounterBackend,
+            CounterBackendName, AllCounterBackends(),
+            "counting backend; parallel = trie")
+      .Number("threads", &options.num_threads, "counting threads, 0 = all")
+      .Number("rules", &min_confidence,
+              "also generate rules at this confidence")
+      .Bool("stats", &print_stats, "print per-pass statistics")
+      .String("stats-json", "FILE", &stats_json_path,
+              "write run statistics as JSON", kNonEmptyPath)
+      .Enum("malformed", &options.malformed_rows, ParseMalformedRowPolicy,
+            MalformedRowPolicyName, kAllMalformedRowPolicies,
+            "bad rows fail the run, or are counted")
+      .String("checkpoint", "FILE", &checkpoint_path,
+              "write a checkpoint after every pass", kNonEmptyPath)
+      .Bool("resume", &resume, "resume from the --checkpoint file");
+  if (argc < 2) return flags.UsageError();
+  if (!flags.ParseArgv(argc, argv, 2)) return 2;
+  const std::string path = argv[1];
+  if (min_confidence && (*min_confidence < 0.0 || *min_confidence > 1.0)) {
+    std::cerr << "--rules confidence must be in [0, 1]\n";
+    return 2;
+  }
+  if (const Status armed = failpoint::ArmFromEnv(); !armed.ok()) {
+    std::cerr << "PINCER_FAILPOINTS: " << armed << "\n";
+    return 2;
   }
   options.collect_counter_metrics = !stats_json_path.empty();
   if (resume && checkpoint_path.empty()) {
@@ -275,12 +186,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (min_confidence >= 0.0) {
+  if (min_confidence) {
     RuleOptions rule_options;
-    rule_options.min_confidence = min_confidence;
+    rule_options.min_confidence = *min_confidence;
     const std::vector<AssociationRule> rules =
         GenerateRulesFromMfs(*db, result, options, rule_options);
-    std::cout << "# rules (confidence >= " << min_confidence
+    std::cout << "# rules (confidence >= " << *min_confidence
               << "): " << rules.size() << "\n";
     for (const AssociationRule& rule : rules) {
       std::cout << rule << "\n";

@@ -5,17 +5,9 @@
 // that.
 //
 //   ./pincer_query (--socket=PATH | --port=N) [request flags]
-//     --op=mine|ping|list|shutdown   (default mine)
-//     --database=NAME --min-support=F
-//     --algorithm=apriori|apriori-combined|pincer|pincer-adaptive
-//     --no-fast-path --max-passes=N
-//     --mfcs-cardinality-limit=N --mfcs-work-limit=N
-//     --budget-ms=MS --no-cache --id=TOKEN
-//     --format=json|text             (default json: the raw response line)
-//     --connect-timeout-ms=MS        keep retrying a refused connect (capped
-//                                    exponential backoff) for up to MS;
-//                                    default 0 = one attempt. Lets scripts
-//                                    race the daemon's startup safely.
+//
+// The flag table in main() is the documentation: run with no arguments, or
+// with an unknown flag, for the usage it generates.
 //
 // Exit status: 0 iff the daemon answered ok:true; 1 on an error response or
 // transport failure; 2 on bad usage.
@@ -28,38 +20,23 @@
 #include <string>
 #include <thread>
 
+#include "util/flags.h"
 #include "util/json_reader.h"
 #include "util/json_writer.h"
-#include "util/parse_number.h"
 #include "util/retry.h"
 #include "util/socket.h"
 #include "util/timer.h"
-
-namespace {
-
-int Usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " (--socket=PATH | --port=N) [--op=mine|ping|list|shutdown] "
-               "[--database=NAME] [--min-support=F] [--algorithm=NAME] "
-               "[--no-fast-path] [--max-passes=N] "
-               "[--mfcs-cardinality-limit=N] [--mfcs-work-limit=N] "
-               "[--budget-ms=MS] [--no-cache] [--id=TOKEN] "
-               "[--format=json|text] [--connect-timeout-ms=MS]\n";
-  return 2;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace pincer;
 
   std::string socket_path;
-  std::optional<uint16_t> tcp_port;
+  std::optional<size_t> tcp_port;
   std::string op = "mine";
   std::string database;
   std::optional<double> min_support;
   std::string algorithm;
-  bool fast_path = true;
+  bool no_fast_path = false;
   std::optional<size_t> max_passes;
   std::optional<size_t> mfcs_cardinality_limit;
   std::optional<size_t> mfcs_work_limit;
@@ -68,89 +45,32 @@ int main(int argc, char** argv) {
   std::string id;
   std::string format = "json";
   double connect_timeout_ms = 0;
-
-  const auto parse_size = [&](const std::string& arg, size_t prefix,
-                              const char* what, std::optional<size_t>& out) {
-    const StatusOr<size_t> parsed = ParseSize(arg.substr(prefix), what);
-    if (!parsed.ok()) {
-      std::cerr << parsed.status() << "\n";
-      return false;
-    }
-    out = *parsed;
-    return true;
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--socket=", 0) == 0) {
-      socket_path = arg.substr(9);
-    } else if (arg.rfind("--port=", 0) == 0) {
-      const StatusOr<uint64_t> parsed = ParseUint64(arg.substr(7), "--port");
-      if (!parsed.ok() || *parsed > 65535) {
-        std::cerr << "--port needs a number in [0, 65535]\n";
-        return 2;
-      }
-      tcp_port = static_cast<uint16_t>(*parsed);
-    } else if (arg.rfind("--op=", 0) == 0) {
-      op = arg.substr(5);
-    } else if (arg.rfind("--database=", 0) == 0) {
-      database = arg.substr(11);
-    } else if (arg.rfind("--min-support=", 0) == 0) {
-      const StatusOr<double> parsed =
-          ParseDouble(arg.substr(14), "--min-support");
-      if (!parsed.ok()) {
-        std::cerr << parsed.status() << "\n";
-        return 2;
-      }
-      min_support = *parsed;
-    } else if (arg.rfind("--algorithm=", 0) == 0) {
-      algorithm = arg.substr(12);
-    } else if (arg == "--no-fast-path") {
-      fast_path = false;
-    } else if (arg.rfind("--max-passes=", 0) == 0) {
-      if (!parse_size(arg, 13, "--max-passes", max_passes)) return 2;
-    } else if (arg.rfind("--mfcs-cardinality-limit=", 0) == 0) {
-      if (!parse_size(arg, 25, "--mfcs-cardinality-limit",
-                      mfcs_cardinality_limit)) {
-        return 2;
-      }
-    } else if (arg.rfind("--mfcs-work-limit=", 0) == 0) {
-      if (!parse_size(arg, 18, "--mfcs-work-limit", mfcs_work_limit)) {
-        return 2;
-      }
-    } else if (arg.rfind("--budget-ms=", 0) == 0) {
-      const StatusOr<double> parsed =
-          ParseDouble(arg.substr(12), "--budget-ms");
-      if (!parsed.ok()) {
-        std::cerr << parsed.status() << "\n";
-        return 2;
-      }
-      budget_ms = *parsed;
-    } else if (arg == "--no-cache") {
-      no_cache = true;
-    } else if (arg.rfind("--id=", 0) == 0) {
-      id = arg.substr(5);
-    } else if (arg.rfind("--format=", 0) == 0) {
-      format = arg.substr(9);
-      if (format != "json" && format != "text") {
-        std::cerr << "--format must be 'json' or 'text'\n";
-        return 2;
-      }
-    } else if (arg.rfind("--connect-timeout-ms=", 0) == 0) {
-      const StatusOr<double> parsed =
-          ParseDouble(arg.substr(21), "--connect-timeout-ms");
-      if (!parsed.ok() || *parsed < 0) {
-        std::cerr << "--connect-timeout-ms needs a number >= 0\n";
-        return 2;
-      }
-      connect_timeout_ms = *parsed;
-    } else {
-      return Usage(argv[0]);
-    }
+  using enum FlagCheck;
+  Flags flags("pincer_query");
+  flags.String("socket", "PATH", &socket_path, "daemon's Unix socket")
+      .Number("port", &tcp_port, "daemon's loopback TCP port", kPort)
+      .String("op", "mine|ping|list|shutdown", &op, "request op")
+      .String("database", "NAME", &database, "database to mine")
+      .Number("min-support", &min_support, "fraction of |D|")
+      .String("algorithm", "NAME", &algorithm, "mining algorithm")
+      .Bool("no-fast-path", &no_fast_path, "skip the pass-1/2 arrays")
+      .Number("max-passes", &max_passes, "pass cap")
+      .Number("mfcs-cardinality-limit", &mfcs_cardinality_limit, "MFCS cap")
+      .Number("mfcs-work-limit", &mfcs_work_limit, "MFCS work cap")
+      .Number("budget-ms", &budget_ms, "query budget", kNonNegativeMs)
+      .Bool("no-cache", &no_cache, "bypass the result cache")
+      .String("id", "TOKEN", &id, "echoed in the response")
+      .String("format", "json|text", &format, "text = mine_cli's format")
+      .Number("connect-timeout-ms", &connect_timeout_ms,
+              "retry a refused connect this long", kNonNegativeMs);
+  if (!flags.ParseArgv(argc, argv, 1)) return 2;
+  if (format != "json" && format != "text") {
+    std::cerr << "--format must be 'json' or 'text'\n";
+    return 2;
   }
   if (socket_path.empty() == !tcp_port.has_value()) {
     std::cerr << "exactly one of --socket=PATH or --port=N is required\n";
-    return Usage(argv[0]);
+    return flags.UsageError();
   }
 
   std::ostringstream request_os;
@@ -162,7 +82,7 @@ int main(int argc, char** argv) {
     if (!database.empty()) json.KeyValue("database", database);
     if (min_support.has_value()) json.KeyValue("min_support", *min_support);
     if (!algorithm.empty()) json.KeyValue("algorithm", algorithm);
-    if (!fast_path) json.KeyValue("use_array_fast_path", false);
+    if (no_fast_path) json.KeyValue("use_array_fast_path", false);
     if (max_passes.has_value()) {
       json.KeyValue("max_passes", static_cast<uint64_t>(*max_passes));
     }
@@ -180,7 +100,7 @@ int main(int argc, char** argv) {
   }
 
   const auto connect = [&socket_path, &tcp_port] {
-    return socket_path.empty() ? ConnectTcp(*tcp_port)
+    return socket_path.empty() ? ConnectTcp(static_cast<uint16_t>(*tcp_port))
                                : ConnectUnix(socket_path);
   };
   StatusOr<UniqueFd> conn = connect();

@@ -4,14 +4,10 @@
 // anything that can speak one JSON object per line.
 //
 //   ./pincer_serve --db=NAME=PATH [--db=NAME=PATH ...]
-//                  (--socket=PATH | --port=N)
-//     --threads=N              shared counting pool (0 = all cores; default 1)
-//     --cache=N                result-cache capacity in entries (default 64)
-//     --default-budget-ms=MS   budget for queries that set none (default 0)
-//     --max-budget-ms=MS       hard ceiling on any query's budget (default 0)
-//     --malformed=strict|skip  row policy for the startup loads
-//     --idle-timeout-ms=MS     disconnect a session that sends nothing for
-//                              MS milliseconds (default 0 = never)
+//                  (--socket=PATH | --port=N) [flags]
+//
+// The flag table in main() is the documentation: run with no
+// arguments, or with an unknown flag, for the usage it generates.
 //
 // Prints "READY <endpoint>" on stdout once listening (scripts wait for it).
 // Exits 0 on SIGTERM/SIGINT or a client's shutdown op, after draining
@@ -23,21 +19,11 @@
 #include <iostream>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "serve/server.h"
-#include "util/parse_number.h"
+#include "util/flags.h"
 
 namespace {
-
-int Usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " --db=NAME=PATH [--db=NAME=PATH ...] "
-               "(--socket=PATH | --port=N) [--threads=N] [--cache=N] "
-               "[--default-budget-ms=MS] [--max-budget-ms=MS] "
-               "[--malformed=strict|skip] [--idle-timeout-ms=MS]\n";
-  return 2;
-}
 
 // SIGTERM/SIGINT land here; Server::Shutdown is async-signal-safe.
 pincer::Server* g_server = nullptr;
@@ -53,89 +39,50 @@ int main(int argc, char** argv) {
 
   ServerOptions options;
   std::string socket_path;
-  std::optional<uint16_t> tcp_port;
+  std::optional<size_t> tcp_port;
   double idle_timeout_ms = 0;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--db=", 0) == 0) {
-      const std::string spec = arg.substr(5);
-      const size_t eq = spec.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == spec.size()) {
-        std::cerr << "--db needs NAME=PATH, got \"" << spec << "\"\n";
-        return 2;
-      }
-      options.databases.push_back({spec.substr(0, eq), spec.substr(eq + 1)});
-    } else if (arg.rfind("--socket=", 0) == 0) {
-      socket_path = arg.substr(9);
-      if (socket_path.empty()) {
-        std::cerr << "--socket needs a path\n";
-        return 2;
-      }
-    } else if (arg.rfind("--port=", 0) == 0) {
-      const StatusOr<uint64_t> parsed = ParseUint64(arg.substr(7), "--port");
-      if (!parsed.ok() || *parsed > 65535) {
-        std::cerr << "--port needs a number in [0, 65535]\n";
-        return 2;
-      }
-      tcp_port = static_cast<uint16_t>(*parsed);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      const StatusOr<size_t> parsed = ParseSize(arg.substr(10), "--threads");
-      if (!parsed.ok()) {
-        std::cerr << parsed.status() << " (0 = all cores)\n";
-        return 2;
-      }
-      options.num_threads = *parsed;
-    } else if (arg.rfind("--cache=", 0) == 0) {
-      const StatusOr<size_t> parsed = ParseSize(arg.substr(8), "--cache");
-      if (!parsed.ok() || *parsed == 0) {
-        std::cerr << "--cache needs a positive entry count\n";
-        return 2;
-      }
-      options.cache_capacity = *parsed;
-    } else if (arg.rfind("--default-budget-ms=", 0) == 0) {
-      const StatusOr<double> parsed =
-          ParseDouble(arg.substr(20), "--default-budget-ms");
-      if (!parsed.ok() || *parsed < 0) {
-        std::cerr << "--default-budget-ms needs a number >= 0\n";
-        return 2;
-      }
-      options.default_budget_ms = *parsed;
-    } else if (arg.rfind("--max-budget-ms=", 0) == 0) {
-      const StatusOr<double> parsed =
-          ParseDouble(arg.substr(16), "--max-budget-ms");
-      if (!parsed.ok() || *parsed < 0) {
-        std::cerr << "--max-budget-ms needs a number >= 0\n";
-        return 2;
-      }
-      options.max_budget_ms = *parsed;
-    } else if (arg.rfind("--malformed=", 0) == 0) {
-      const std::optional<MalformedRowPolicy> policy =
-          ParseMalformedRowPolicy(arg.substr(12));
-      if (!policy.has_value()) {
-        std::cerr << "--malformed must be 'strict' or 'skip'\n";
-        return 2;
-      }
-      options.malformed_rows = *policy;
-    } else if (arg.rfind("--idle-timeout-ms=", 0) == 0) {
-      const StatusOr<double> parsed =
-          ParseDouble(arg.substr(18), "--idle-timeout-ms");
-      if (!parsed.ok() || *parsed < 0) {
-        std::cerr << "--idle-timeout-ms needs a number >= 0\n";
-        return 2;
-      }
-      idle_timeout_ms = *parsed;
-    } else {
-      return Usage(argv[0]);
+  // The flag table lives only while parsing: nothing it allocates is still
+  // alive when the service loads its databases.
+  {
+    using enum FlagCheck;
+    Flags flags("pincer_serve");
+    flags
+        .Custom("db", "NAME=PATH", "load a database (repeatable)",
+                [&options](std::string_view spec) -> Status {
+                  const size_t eq = spec.find('=');
+                  if (eq == spec.npos || eq == 0 || eq + 1 == spec.size()) {
+                    return Status::InvalidArgument("--db needs NAME=PATH: " +
+                                                   std::string(spec));
+                  }
+                  options.databases.push_back(
+                      {std::string(spec.substr(0, eq)),
+                       std::string(spec.substr(eq + 1))});
+                  return Status::OK();
+                })
+        .String("socket", "PATH", &socket_path, "listen on a Unix socket",
+                kNonEmptyPath)
+        .Number("port", &tcp_port, "listen on loopback TCP", kPort)
+        .Number("threads", &options.num_threads, "counting threads, 0 = all")
+        .Number("cache", &options.cache_capacity, "result-cache entries",
+                kPositive)
+        .Number("default-budget-ms", &options.default_budget_ms,
+                "budget of queries that set none", kNonNegativeMs)
+        .Number("max-budget-ms", &options.max_budget_ms,
+                "ceiling on any query's budget", kNonNegativeMs)
+        .Enum("malformed", &options.malformed_rows, ParseMalformedRowPolicy,
+              MalformedRowPolicyName, kAllMalformedRowPolicies,
+              "row policy of the loads")
+        .Number("idle-timeout-ms", &idle_timeout_ms,
+                "drop a silent session, 0 = never", kNonNegativeMs);
+    if (!flags.ParseArgv(argc, argv, 1)) return 2;
+    if (options.databases.empty()) {
+      std::cerr << "at least one --db=NAME=PATH is required\n";
+      return flags.UsageError();
     }
-  }
-  if (options.databases.empty()) {
-    std::cerr << "at least one --db=NAME=PATH is required\n";
-    return Usage(argv[0]);
-  }
-  if (socket_path.empty() == !tcp_port.has_value()) {
-    std::cerr << "exactly one of --socket=PATH or --port=N is required\n";
-    return Usage(argv[0]);
+    if (socket_path.empty() == !tcp_port.has_value()) {
+      std::cerr << "exactly one of --socket=PATH or --port=N is required\n";
+      return flags.UsageError();
+    }
   }
 
   MiningService service;
@@ -154,7 +101,8 @@ int main(int argc, char** argv) {
     }
     endpoint = "unix:" + socket_path;
   } else {
-    if (const Status status = server.ListenTcp(*tcp_port); !status.ok()) {
+    const auto port = static_cast<uint16_t>(*tcp_port);
+    if (const Status status = server.ListenTcp(port); !status.ok()) {
       std::cerr << "error: " << status << "\n";
       return 1;
     }

@@ -4,36 +4,12 @@
 // validates with one streaming scan. The output is bit-identical to
 // mine_cli over the same file (docs/sharding.md).
 //
-//   ./pincer_shard <database.basket> --work-dir=DIR [options]
-//     --shards=N                 shard count (default 2)
-//     --workers=N                concurrent worker slots (default 2)
-//     --min-support=F            fraction of |D| (default 0.01)
-//     --algorithm=pincer         apriori | pincer | pincer-adaptive
-//     --worker-threads=N         counting threads per worker (default 1)
-//     --resume                   reuse DIR from a previous run: keep valid
-//                                shard results, restart the rest from their
-//                                checkpoints; rejects a DIR built for a
-//                                different database or options
-//     --malformed=strict|skip    malformed-row policy for the shard split
-//                                and the validation scan
-//     --max-attempts=N           attempt budget per shard (default 3)
-//     --attempt-deadline-ms=F    per-attempt wall clock; past it the worker
-//                                is SIGTERMed, then SIGKILLed (default: none)
-//     --term-grace-ms=F          SIGTERM -> SIGKILL grace (default 2000)
-//     --backoff-ms=F             initial retry backoff (default 0)
-//     --max-backoff-ms=F         backoff cap (default 0 = uncapped)
-//     --budget-ms=F              validation-scan wall-clock budget
-//     --stats-json=FILE          stats JSON (schema v1.4: adds the
-//                                "orchestrator" section; EXPERIMENTS.md)
-//     --worker-binary=PATH       worker executable (default: this binary)
+//   ./pincer_shard <database.basket> --work-dir=DIR [flags]
 //
-//   Failure injection (recovery tests; both hit FIRST attempts only):
-//     --worker-failpoints=SPEC   PINCER_FAILPOINTS for first attempts
-//     --die-after-checkpoints=N  workers SIGKILL themselves after their Nth
-//                                checkpoint write
-//
-//   Worker mode (what the supervisor execs; not for direct use):
-//     ./pincer_shard --worker <shard.basket> --out=FILE [worker flags]
+// The flag table in main() is the documentation: run with no arguments, or
+// with an unknown flag, for the usage it generates. The worker mode the
+// supervisor execs (`--worker <shard.basket> --out=FILE ...`) parses its
+// argv with ParseShardWorkerArgv (orchestrate/worker.h).
 //
 // Exit status: 0 on success, 1 on runtime failure, 2 on bad usage.
 
@@ -41,30 +17,17 @@
 
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "orchestrate/orchestrator.h"
 #include "orchestrate/worker.h"
 #include "util/failpoint.h"
+#include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/metrics.h"
-#include "util/parse_number.h"
 
 namespace {
-
-int Usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " <database.basket> --work-dir=DIR [--shards=N] [--workers=N] "
-               "[--min-support=F] [--algorithm=A] [--worker-threads=N] "
-               "[--resume] [--malformed=strict|skip] [--max-attempts=N] "
-               "[--attempt-deadline-ms=F] [--term-grace-ms=F] "
-               "[--backoff-ms=F] [--max-backoff-ms=F] [--budget-ms=F] "
-               "[--stats-json=FILE] [--worker-binary=PATH]\n"
-            << "   or: " << argv0 << " --worker <shard.basket> --out=FILE ...\n";
-  return 2;
-}
 
 /// The path workers are exec'd from: this very binary. /proc/self/exe is
 /// authoritative on Linux; argv[0] is the fallback (tests always pass
@@ -84,9 +47,8 @@ int RunWorker(int argc, char** argv) {
     std::cerr << "PINCER_FAILPOINTS: " << armed << "\n";
     return 2;
   }
-  std::vector<std::string> args;
-  for (int i = 2; i < argc; ++i) args.emplace_back(argv[i]);
-  const StatusOr<ShardWorkerConfig> config = ParseShardWorkerArgv(args);
+  const StatusOr<ShardWorkerConfig> config =
+      ParseShardWorkerArgv({argv + 2, argv + argc});
   if (!config.ok()) {
     std::cerr << "worker: " << config.status() << "\n";
     return 2;
@@ -106,134 +68,48 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::string(argv[1]) == "--worker") {
     return RunWorker(argc, argv);
   }
-  if (argc < 2) return Usage(argv[0]);
-  const std::string path = argv[1];
 
   OrchestratorOptions options;
   options.worker_binary = SelfBinary(argv[0]);
   std::string stats_json_path;
   std::string worker_failpoints;
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto size_flag = [&arg](const char* name,
-                                  size_t prefix) -> StatusOr<size_t> {
-      return ParseSize(arg.substr(prefix), name);
-    };
-    const auto double_flag = [&arg](const char* name,
-                                    size_t prefix) -> StatusOr<double> {
-      return ParseDouble(arg.substr(prefix), name);
-    };
-    if (arg.rfind("--shards=", 0) == 0) {
-      const StatusOr<size_t> parsed = size_flag("--shards", 9);
-      if (!parsed.ok() || *parsed == 0) {
-        std::cerr << "--shards must be a positive integer\n";
-        return 2;
-      }
-      options.num_shards = *parsed;
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      const StatusOr<size_t> parsed = size_flag("--workers", 10);
-      if (!parsed.ok() || *parsed == 0) {
-        std::cerr << "--workers must be a positive integer\n";
-        return 2;
-      }
-      options.slots = *parsed;
-    } else if (arg.rfind("--min-support=", 0) == 0) {
-      const StatusOr<double> parsed = double_flag("--min-support", 14);
-      if (!parsed.ok() || *parsed <= 0.0 || *parsed > 1.0) {
-        std::cerr << "min-support must be in (0, 1]\n";
-        return 2;
-      }
-      options.min_support = *parsed;
-    } else if (arg.rfind("--algorithm=", 0) == 0) {
-      const StatusOr<Algorithm> parsed = ParseAlgorithm(arg.substr(12));
-      if (!parsed.ok()) {
-        std::cerr << parsed.status() << "\n";
-        return 2;
-      }
-      options.algorithm = *parsed;
-    } else if (arg.rfind("--worker-threads=", 0) == 0) {
-      const StatusOr<size_t> parsed = size_flag("--worker-threads", 17);
-      if (!parsed.ok()) {
-        std::cerr << parsed.status() << "\n";
-        return 2;
-      }
-      options.worker_threads = *parsed;
-    } else if (arg.rfind("--work-dir=", 0) == 0) {
-      options.work_dir = arg.substr(11);
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg.rfind("--malformed=", 0) == 0) {
-      const std::optional<MalformedRowPolicy> policy =
-          ParseMalformedRowPolicy(arg.substr(12));
-      if (!policy.has_value()) {
-        std::cerr << "--malformed must be 'strict' or 'skip'\n";
-        return 2;
-      }
-      options.malformed_rows = *policy;
-    } else if (arg.rfind("--max-attempts=", 0) == 0) {
-      const StatusOr<size_t> parsed = size_flag("--max-attempts", 15);
-      if (!parsed.ok() || *parsed == 0) {
-        std::cerr << "--max-attempts must be a positive integer\n";
-        return 2;
-      }
-      options.max_attempts = *parsed;
-    } else if (arg.rfind("--attempt-deadline-ms=", 0) == 0) {
-      const StatusOr<double> parsed = double_flag("--attempt-deadline-ms", 22);
-      if (!parsed.ok()) {
-        std::cerr << parsed.status() << "\n";
-        return 2;
-      }
-      options.attempt_deadline_ms = *parsed;
-    } else if (arg.rfind("--term-grace-ms=", 0) == 0) {
-      const StatusOr<double> parsed = double_flag("--term-grace-ms", 16);
-      if (!parsed.ok()) {
-        std::cerr << parsed.status() << "\n";
-        return 2;
-      }
-      options.term_grace_ms = *parsed;
-    } else if (arg.rfind("--backoff-ms=", 0) == 0) {
-      const StatusOr<double> parsed = double_flag("--backoff-ms", 13);
-      if (!parsed.ok()) {
-        std::cerr << parsed.status() << "\n";
-        return 2;
-      }
-      options.backoff.initial_backoff_ms = *parsed;
-    } else if (arg.rfind("--max-backoff-ms=", 0) == 0) {
-      const StatusOr<double> parsed = double_flag("--max-backoff-ms", 17);
-      if (!parsed.ok()) {
-        std::cerr << parsed.status() << "\n";
-        return 2;
-      }
-      options.backoff.max_backoff_ms = *parsed;
-    } else if (arg.rfind("--budget-ms=", 0) == 0) {
-      const StatusOr<double> parsed = double_flag("--budget-ms", 12);
-      if (!parsed.ok()) {
-        std::cerr << parsed.status() << "\n";
-        return 2;
-      }
-      options.validation_budget_ms = *parsed;
-    } else if (arg.rfind("--stats-json=", 0) == 0) {
-      stats_json_path = arg.substr(13);
-      if (stats_json_path.empty()) {
-        std::cerr << "--stats-json needs a file path\n";
-        return 2;
-      }
-    } else if (arg.rfind("--worker-binary=", 0) == 0) {
-      options.worker_binary = arg.substr(16);
-    } else if (arg.rfind("--worker-failpoints=", 0) == 0) {
-      worker_failpoints = arg.substr(20);
-    } else if (arg.rfind("--die-after-checkpoints=", 0) == 0) {
-      const StatusOr<size_t> parsed = size_flag("--die-after-checkpoints", 24);
-      if (!parsed.ok()) {
-        std::cerr << parsed.status() << "\n";
-        return 2;
-      }
-      options.die_after_checkpoints = *parsed;
-    } else {
-      return Usage(argv[0]);
-    }
-  }
+  using enum FlagCheck;
+  Flags flags("pincer_shard", "<database.basket>");
+  flags.Number("shards", &options.num_shards, "shard count", kPositive)
+      .Number("workers", &options.slots, "concurrent workers", kPositive)
+      .Number("min-support", &options.min_support, "fraction of |D|",
+              kSupportFraction)
+      .Enum("algorithm", &options.algorithm, ParseAlgorithm, AlgorithmName,
+            kAllAlgorithms, "mining algorithm")
+      .Number("worker-threads", &options.worker_threads,
+              "counting threads per worker")
+      .String("work-dir", "DIR", &options.work_dir, "required work dir")
+      .Bool("resume", &options.resume, "reuse the work dir's results")
+      .Enum("malformed", &options.malformed_rows, ParseMalformedRowPolicy,
+            MalformedRowPolicyName, kAllMalformedRowPolicies,
+            "malformed-row policy")
+      .Number("max-attempts", &options.max_attempts, "attempts per shard",
+              kPositive)
+      .Number("attempt-deadline-ms", &options.attempt_deadline_ms,
+              "per-attempt deadline, 0 = none", kNonNegativeMs)
+      .Number("term-grace-ms", &options.term_grace_ms,
+              "SIGTERM -> SIGKILL grace", kNonNegativeMs)
+      .Number("backoff-ms", &options.backoff.initial_backoff_ms,
+              "initial retry backoff", kNonNegativeMs)
+      .Number("max-backoff-ms", &options.backoff.max_backoff_ms,
+              "backoff cap, 0 = uncapped", kNonNegativeMs)
+      .Number("budget-ms", &options.validation_budget_ms,
+              "validation-scan budget, 0 = none", kNonNegativeMs)
+      .String("stats-json", "FILE", &stats_json_path, "stats as JSON",
+              kNonEmptyPath)
+      .String("worker-binary", "PATH", &options.worker_binary, "worker")
+      .String("worker-failpoints", "SPEC", &worker_failpoints,
+              "PINCER_FAILPOINTS of first attempts")
+      .Number("die-after-checkpoints", &options.die_after_checkpoints,
+              "first attempts die after N checkpoints");
+  if (argc < 2) return flags.UsageError();
+  if (!flags.ParseArgv(argc, argv, 2)) return 2;
+  const std::string path = argv[1];
   if (options.work_dir.empty()) {
     std::cerr << "--work-dir=DIR is required\n";
     return 2;

@@ -5,20 +5,27 @@
 //
 //   ./rules_demo [min_support_percent] [min_confidence_percent]
 
-#include <cstdlib>
 #include <iostream>
 
 #include "gen/quest_gen.h"
 #include "mining/miner.h"
 #include "rules/mfs_rule_gen.h"
+#include "util/parse_number.h"
 
 int main(int argc, char** argv) {
   using namespace pincer;
 
-  const double min_support =
-      (argc > 1 ? std::strtod(argv[1], nullptr) : 2.0) / 100.0;
-  const double min_confidence =
-      (argc > 2 ? std::strtod(argv[2], nullptr) : 80.0) / 100.0;
+  const StatusOr<double> support_arg =
+      argc > 1 ? ParseDouble(argv[1], "min_support_percent") : 2.0;
+  const StatusOr<double> confidence_arg =
+      argc > 2 ? ParseDouble(argv[2], "min_confidence_percent") : 80.0;
+  if (!support_arg.ok() || !confidence_arg.ok()) {
+    std::cerr << "usage: rules_demo [min_support_percent] "
+                 "[min_confidence_percent]\n";
+    return 2;
+  }
+  const double min_support = *support_arg / 100.0;
+  const double min_confidence = *confidence_arg / 100.0;
 
   QuestParams params;
   params.num_transactions = 5000;

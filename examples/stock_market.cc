@@ -6,12 +6,12 @@
 //
 //   ./stock_market [num_days]
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "mining/miner.h"
+#include "util/parse_number.h"
 #include "util/prng.h"
 #include "util/table_printer.h"
 
@@ -48,8 +48,13 @@ pincer::TransactionDatabase SimulateMarket(size_t num_stocks, size_t num_days,
 int main(int argc, char** argv) {
   using namespace pincer;
 
-  const size_t num_days =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 2000;
+  const StatusOr<size_t> num_days_arg =
+      argc > 1 ? ParseSize(argv[1], "num_days") : size_t{2000};
+  if (!num_days_arg.ok()) {
+    std::cerr << "usage: stock_market [num_days]\n";
+    return 2;
+  }
+  const size_t num_days = *num_days_arg;
   constexpr size_t kNumStocks = 40;
   constexpr size_t kNumSectors = 5;
 

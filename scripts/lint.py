@@ -33,6 +33,13 @@ Enforces project rules that clang-tidy cannot express (CI job
                    the repo top (e.g. "core/mfcs.h"), which keeps the
                    facade layering visible and greppable.
   todo-owner       TODO comments must name an owner: `TODO(name): ...`.
+  unchecked-number-parse
+                   `strto*(..., nullptr...)` (no end pointer, so trailing
+                   garbage and empty tokens pass silently) and `atoi`/
+                   `atol`/`atoll`/`atof` (no error report at all) in C++
+                   sources. Parse text through util/parse_number.h (or a
+                   util/flags.h table for flags), or check the end pointer;
+                   suppress with `// lint: allow-unchecked-parse(<reason>)`.
 
 Usage:
   scripts/lint.py              lint all tracked sources; exit 1 on findings
@@ -69,6 +76,11 @@ NONDETERMINISM = re.compile(
 )
 RELATIVE_INCLUDE = re.compile(r'#\s*include\s+"\.\./')
 TODO_WITHOUT_OWNER = re.compile(r"\bTODO\b(?!\([A-Za-z0-9_.\- ]+\))")
+ALLOW_UNCHECKED_PARSE = re.compile(r"//\s*lint:\s*allow-unchecked-parse\b")
+STRTO_CALL = re.compile(r"\bstrto(l|ul|ll|ull|f|d|ld|imax|umax)\s*\(")
+# The end-pointer argument of a strto* call: the second one.
+NULL_END_POINTER = re.compile(r"^[^,;]*,\s*(nullptr|NULL|0)\s*[,)]")
+ATO_CALL = re.compile(r"\bato(i|l|ll|f)\s*\(")
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -242,6 +254,32 @@ def lint_file(path: Path, relpath: str, text: str) -> list[Finding]:
                 )
             )
 
+        parse_suppressed = ALLOW_UNCHECKED_PARSE.search(
+            raw
+        ) or ALLOW_UNCHECKED_PARSE.search(prev)
+        if is_cpp and not parse_suppressed:
+            call = STRTO_CALL.search(code)
+            unchecked = False
+            if call:
+                # A call may wrap: read its arguments on into the next lines.
+                following = lines[lineno : lineno + 2]
+                args = " ".join(
+                    [code[call.end() :]]
+                    + [strip_comments_and_strings(x) for x in following]
+                )
+                unchecked = NULL_END_POINTER.search(args) is not None
+            if unchecked or ATO_CALL.search(code):
+                findings.append(
+                    Finding(
+                        path,
+                        lineno,
+                        "unchecked-number-parse",
+                        "number parse without an error check — use "
+                        "util/parse_number.h, or suppress with "
+                        "// lint: allow-unchecked-parse(<reason>)",
+                    )
+                )
+
     if path.suffix == ".h" and (in_src or relpath.startswith("fuzz/")):
         guard = expected_guard(relpath)
         if f"#ifndef {guard}" not in text or f"#define {guard}" not in text:
@@ -328,6 +366,24 @@ SELF_TEST_CASES = {
     "relative-include": ("src/core/x.cc", '#include "../util/y.h"\n'),
     "todo-owner": ("src/core/x.cc", "// TODO: fix this\n"),
     "todo-owner-named-ok": ("src/core/x.cc", "// TODO(pincer): fix this\n"),
+    "unchecked-number-parse-strtoul": (
+        "bench/x.cc",
+        "size_t n = std::strtoul(arg.c_str() + 8, nullptr, 10);\n",
+    ),
+    "unchecked-number-parse-wrapped": (
+        "examples/x.cc",
+        "double d = std::strtod(argv[1],\n                       nullptr);\n",
+    ),
+    "unchecked-number-parse-atoi": ("tests/x.cc", "int n = atoi(text);\n"),
+    "unchecked-number-parse-end-pointer-ok": (
+        "src/util/x.cc",
+        "const double v = std::strtod(token.c_str(), &end);\n",
+    ),
+    "unchecked-number-parse-suppressed-ok": (
+        "examples/x.cc",
+        "// lint: allow-unchecked-parse(fixed literal)\n"
+        "int n = atoi(\"42\");\n",
+    ),
     "include-guard": (
         "src/core/x.h",
         "#ifndef WRONG_GUARD_H_\n#define WRONG_GUARD_H_\n#endif\n",

@@ -6,8 +6,10 @@
 #ifndef PINCER_DATA_ROW_POLICY_H_
 #define PINCER_DATA_ROW_POLICY_H_
 
-#include <optional>
+#include <string>
 #include <string_view>
+
+#include "util/statusor.h"
 
 namespace pincer {
 
@@ -32,12 +34,17 @@ inline std::string_view MalformedRowPolicyName(MalformedRowPolicy policy) {
   return "unknown";
 }
 
+inline constexpr MalformedRowPolicy kAllMalformedRowPolicies[] = {
+    MalformedRowPolicy::kStrict, MalformedRowPolicy::kSkipAndCount};
+
 /// Parses "strict" or "skip" (as accepted by mine_cli --malformed=).
-inline std::optional<MalformedRowPolicy> ParseMalformedRowPolicy(
+inline StatusOr<MalformedRowPolicy> ParseMalformedRowPolicy(
     std::string_view name) {
   if (name == "strict") return MalformedRowPolicy::kStrict;
   if (name == "skip") return MalformedRowPolicy::kSkipAndCount;
-  return std::nullopt;
+  return Status::InvalidArgument(
+      "--malformed must be 'strict' or 'skip', got \"" + std::string(name) +
+      "\"");
 }
 
 }  // namespace pincer

@@ -32,10 +32,13 @@ enum class Algorithm {
   kPincerAdaptive,
 };
 
+inline constexpr Algorithm kAllAlgorithms[] = {
+    Algorithm::kApriori, Algorithm::kAprioriCombined, Algorithm::kPincer,
+    Algorithm::kPincerAdaptive};
+
 std::string_view AlgorithmName(Algorithm algorithm);
 
-/// Parses "apriori" / "pincer" / "pincer-adaptive"; returns InvalidArgument
-/// otherwise.
+/// Parses any AlgorithmName; returns InvalidArgument otherwise.
 StatusOr<Algorithm> ParseAlgorithm(std::string_view name);
 
 /// Default MFCS cap applied by kPincerAdaptive when

@@ -10,7 +10,7 @@
 #include "data/database_io.h"
 #include "mining/checkpoint.h"
 #include "orchestrate/shard_result.h"
-#include "util/parse_number.h"
+#include "util/flags.h"
 #include "util/timer.h"
 
 namespace pincer {
@@ -148,47 +148,23 @@ std::vector<std::string> ShardWorkerArgv(const std::string& worker_binary,
 StatusOr<ShardWorkerConfig> ParseShardWorkerArgv(
     const std::vector<std::string>& args) {
   ShardWorkerConfig config;
-  for (const std::string& arg : args) {
-    if (arg.rfind("--out=", 0) == 0) {
-      config.result_path = arg.substr(6);
-    } else if (arg.rfind("--checkpoint=", 0) == 0) {
-      config.checkpoint_path = arg.substr(13);
-    } else if (arg == "--resume") {
-      config.resume = true;
-    } else if (arg.rfind("--shard-index=", 0) == 0) {
-      const StatusOr<uint64_t> parsed =
-          ParseUint64(arg.substr(14), "--shard-index");
-      if (!parsed.ok()) return parsed.status();
-      config.shard_index = *parsed;
-    } else if (arg.rfind("--min-support=", 0) == 0) {
-      const StatusOr<double> parsed =
-          ParseDouble(arg.substr(14), "--min-support");
-      if (!parsed.ok()) return parsed.status();
-      config.min_support = *parsed;
-    } else if (arg.rfind("--algorithm=", 0) == 0) {
-      const StatusOr<Algorithm> parsed = ParseAlgorithm(arg.substr(12));
-      if (!parsed.ok()) return parsed.status();
-      config.algorithm = *parsed;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      const StatusOr<size_t> parsed = ParseSize(arg.substr(10), "--threads");
-      if (!parsed.ok()) return parsed.status();
-      config.num_threads = *parsed;
-    } else if (arg.rfind("--die-after-checkpoints=", 0) == 0) {
-      const StatusOr<size_t> parsed =
-          ParseSize(arg.substr(24), "--die-after-checkpoints");
-      if (!parsed.ok()) return parsed.status();
-      config.die_after_checkpoints = *parsed;
-    } else if (arg.rfind("--", 0) == 0) {
-      return Status::InvalidArgument("unknown worker flag: " + arg);
-    } else if (config.shard_path.empty()) {
-      config.shard_path = arg;
-    } else {
-      return Status::InvalidArgument("unexpected worker argument: " + arg);
-    }
+  Flags flags("pincer_shard --worker", "<shard.basket>");
+  flags.String("out", "FILE", &config.result_path, "result file")
+      .String("checkpoint", "FILE", &config.checkpoint_path, "checkpoint")
+      .Bool("resume", &config.resume, "resume from --checkpoint")
+      .Number("shard-index", &config.shard_index, "shard number")
+      .Number("min-support", &config.min_support, "fraction of the shard")
+      .Enum("algorithm", &config.algorithm, ParseAlgorithm, AlgorithmName,
+            kAllAlgorithms, "mining algorithm")
+      .Number("threads", &config.num_threads, "counting threads")
+      .Number("die-after-checkpoints", &config.die_after_checkpoints,
+              "die after N checkpoints");
+  std::vector<std::string> positionals;
+  PINCER_RETURN_IF_ERROR(flags.Parse(args, &positionals));
+  if (positionals.size() != 1 || positionals[0].empty()) {
+    return Status::InvalidArgument("worker needs one shard file path");
   }
-  if (config.shard_path.empty()) {
-    return Status::InvalidArgument("worker needs a shard file path");
-  }
+  config.shard_path = positionals[0];
   if (config.result_path.empty()) {
     return Status::InvalidArgument("worker needs --out=FILE");
   }

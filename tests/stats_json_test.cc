@@ -37,7 +37,11 @@ uint64_t TextTotal(const std::string& report, const std::string& prefix) {
   EXPECT_NE(at, std::string::npos) << "missing '" << prefix << "' in:\n"
                                    << report;
   if (at == std::string::npos) return ~uint64_t{0};
-  return std::strtoull(report.c_str() + at + prefix.size(), nullptr, 10);
+  const char* digits = report.c_str() + at + prefix.size();
+  char* end = nullptr;
+  const uint64_t value = std::strtoull(digits, &end, 10);
+  EXPECT_NE(end, digits) << "no number after '" << prefix << "'";
+  return value;
 }
 
 uint64_t JsonUint(const JsonValue& doc, const std::string& key) {
