@@ -105,34 +105,14 @@ int main(int argc, char** argv) {
       std::cerr << "error fingerprinting " << path << ": " << status << "\n";
       return 1;
     }
-    options.checkpoint_sink = [&](const Checkpoint& checkpoint) {
-      Checkpoint stamped = checkpoint;
-      stamped.database.path = file_fingerprint.path;
-      stamped.database.file_bytes = file_fingerprint.file_bytes;
-      return WriteCheckpointToFile(stamped, checkpoint_path);
-    };
+    options.checkpoint_sink =
+        FileCheckpointSink(file_fingerprint, checkpoint_path);
   }
 
   MaximalSetResult result;
   if (resume) {
-    const StatusOr<Checkpoint> checkpoint =
-        ReadCheckpointFromFile(checkpoint_path);
-    if (!checkpoint.ok()) {
-      std::cerr << "error reading checkpoint " << checkpoint_path << ": "
-                << checkpoint.status() << "\n";
-      return 1;
-    }
-    if (!checkpoint->database.path.empty() &&
-        (checkpoint->database.path != file_fingerprint.path ||
-         checkpoint->database.file_bytes != file_fingerprint.file_bytes)) {
-      std::cerr << "error: checkpoint " << checkpoint_path << " was written "
-                << "for " << checkpoint->database.path << " ("
-                << checkpoint->database.file_bytes << " bytes), not " << path
-                << " (" << file_fingerprint.file_bytes << " bytes)\n";
-      return 1;
-    }
-    StatusOr<MaximalSetResult> resumed =
-        ResumeMaximal(*db, options, algorithm, *checkpoint);
+    StatusOr<MaximalSetResult> resumed = ResumeMaximalFromFile(
+        *db, options, algorithm, file_fingerprint, checkpoint_path);
     if (!resumed.ok()) {
       std::cerr << "error resuming from " << checkpoint_path << ": "
                 << resumed.status() << "\n";
@@ -144,16 +124,7 @@ int main(int argc, char** argv) {
   }
   result.stats.rows_skipped += read_report.rows_skipped;
   result.stats.rows_dropped_items += db->num_dropped_items();
-  std::cout << "# maximal frequent itemsets: " << result.mfs.size() << "\n";
-  std::cout << "# format: support <tab> items...\n";
-  for (const FrequentItemset& fi : result.mfs) {
-    std::cout << fi.support << "\t";
-    for (size_t i = 0; i < fi.itemset.size(); ++i) {
-      if (i > 0) std::cout << ' ';
-      std::cout << fi.itemset[i];
-    }
-    std::cout << "\n";
-  }
+  WriteMfsText(std::cout, result.mfs);
 
   if (print_stats) std::cerr << result.stats.ToString();
 

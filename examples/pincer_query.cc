@@ -20,6 +20,7 @@
 #include <string>
 #include <thread>
 
+#include "mining/miner.h"
 #include "util/flags.h"
 #include "util/json_reader.h"
 #include "util/json_writer.h"
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
   std::string op = "mine";
   std::string database;
   std::optional<double> min_support;
-  std::string algorithm;
+  std::optional<Algorithm> algorithm;
   bool no_fast_path = false;
   std::optional<size_t> max_passes;
   std::optional<size_t> mfcs_cardinality_limit;
@@ -51,8 +52,10 @@ int main(int argc, char** argv) {
       .Number("port", &tcp_port, "daemon's loopback TCP port", kPort)
       .String("op", "mine|ping|list|shutdown", &op, "request op")
       .String("database", "NAME", &database, "database to mine")
-      .Number("min-support", &min_support, "fraction of |D|")
-      .String("algorithm", "NAME", &algorithm, "mining algorithm")
+      .Number("min-support", &min_support, "fraction of |D|",
+              kSupportFraction)
+      .Enum("algorithm", &algorithm, ParseAlgorithm, AlgorithmName,
+            kAllAlgorithms, "mining algorithm, default the daemon's")
       .Bool("no-fast-path", &no_fast_path, "skip the pass-1/2 arrays")
       .Number("max-passes", &max_passes, "pass cap")
       .Number("mfcs-cardinality-limit", &mfcs_cardinality_limit, "MFCS cap")
@@ -81,7 +84,9 @@ int main(int argc, char** argv) {
     if (!id.empty()) json.KeyValue("id", id);
     if (!database.empty()) json.KeyValue("database", database);
     if (min_support.has_value()) json.KeyValue("min_support", *min_support);
-    if (!algorithm.empty()) json.KeyValue("algorithm", algorithm);
+    if (algorithm.has_value()) {
+      json.KeyValue("algorithm", AlgorithmName(*algorithm));
+    }
     if (no_fast_path) json.KeyValue("use_array_fast_path", false);
     if (max_passes.has_value()) {
       json.KeyValue("max_passes", static_cast<uint64_t>(*max_passes));

@@ -102,7 +102,8 @@ int main(int argc, char** argv) {
               "validation-scan budget, 0 = none", kNonNegativeMs)
       .String("stats-json", "FILE", &stats_json_path, "stats as JSON",
               kNonEmptyPath)
-      .String("worker-binary", "PATH", &options.worker_binary, "worker")
+      .String("worker-binary", "PATH", &options.worker_binary, "worker",
+              kNonEmptyPath)
       .String("worker-failpoints", "SPEC", &worker_failpoints,
               "PINCER_FAILPOINTS of first attempts")
       .Number("die-after-checkpoints", &options.die_after_checkpoints,
@@ -127,16 +128,7 @@ int main(int argc, char** argv) {
   }
 
   // Same output format as mine_cli, so the two are directly diffable.
-  std::cout << "# maximal frequent itemsets: " << result->mfs.size() << "\n";
-  std::cout << "# format: support <tab> items...\n";
-  for (const FrequentItemset& fi : result->mfs) {
-    std::cout << fi.support << "\t";
-    for (size_t i = 0; i < fi.itemset.size(); ++i) {
-      if (i > 0) std::cout << ' ';
-      std::cout << fi.itemset[i];
-    }
-    std::cout << "\n";
-  }
+  WriteMfsText(std::cout, result->mfs);
 
   const OrchestratorStats& stats = result->stats;
   std::cerr << "shards=" << stats.num_shards

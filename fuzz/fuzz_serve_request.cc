@@ -24,9 +24,8 @@ int FuzzServeRequest(const uint8_t* data, size_t size) {
   // threshold means the parser defaulted something it must reject.
   if (request.op == Request::Op::kMine) {
     if (request.database.empty()) __builtin_trap();
-    if (!(request.min_support > 0.0 && request.min_support <= 1.0)) {
-      __builtin_trap();
-    }
+    const double min_support = request.options.min_support;
+    if (!(min_support > 0.0 && min_support <= 1.0)) __builtin_trap();
   }
   if (RequestOpName(request.op).empty()) __builtin_trap();
   return 0;

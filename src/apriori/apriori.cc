@@ -7,22 +7,39 @@
 
 #include "apriori/apriori_combined.h"
 #include "apriori/apriori_gen.h"
-#include "itemset/itemset_ops.h"
 #include "mining/levelwise_run.h"
+#include "util/contracts.h"
 #include "util/metrics.h"
 
 namespace pincer {
 
 std::vector<FrequentItemset> FrequentSetResult::MaximalItemsets() const {
-  std::unordered_map<Itemset, uint64_t, ItemsetHash> supports;
+  // `frequent` is downward closed, so an itemset is maximal exactly when no
+  // frequent itemset one item larger contains it: strike the one-smaller
+  // subsets of every itemset and keep the rest. Linear in the total itemset
+  // length, where a pairwise scan is quadratic in the MFS size.
+  std::unordered_map<Itemset, size_t, ItemsetHash> position;
+  position.reserve(frequent.size());
+  for (size_t i = 0; i < frequent.size(); ++i) {
+    position.emplace(frequent[i].itemset, i);
+  }
+  std::vector<bool> maximal(frequent.size(), true);
   for (const FrequentItemset& fi : frequent) {
-    supports.emplace(fi.itemset, fi.support);
+    if (fi.itemset.size() < 2) continue;
+    for (const ItemId item : fi.itemset) {
+      const auto subset = position.find(fi.itemset.WithoutItem(item));
+      PINCER_CHECK(subset != position.end(),
+                   "frequent set is not downward closed at ",
+                   fi.itemset.ToString());
+      if (subset != position.end()) maximal[subset->second] = false;
+    }
   }
-  std::vector<FrequentItemset> maximal;
-  for (const Itemset& itemset : MaximalElements(ItemsetsOf(frequent))) {
-    maximal.push_back({itemset, supports.at(itemset)});
+  std::vector<FrequentItemset> result;
+  for (size_t i = 0; i < frequent.size(); ++i) {
+    if (maximal[i]) result.push_back(frequent[i]);
   }
-  return maximal;
+  std::sort(result.begin(), result.end());
+  return result;
 }
 
 namespace {

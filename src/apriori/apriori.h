@@ -26,7 +26,9 @@ struct FrequentSetResult {
 
   /// The maximal frequent itemsets (the MFS) extracted from `frequent` —
   /// what a bottom-up algorithm must post-process to obtain what
-  /// Pincer-Search produces directly.
+  /// Pincer-Search produces directly. Requires `frequent` to be downward
+  /// closed (every subset of an itemset in it is in it too), as every
+  /// level-wise run leaves it, aborted or not; a PINCER_CHECK enforces it.
   std::vector<FrequentItemset> MaximalItemsets() const;
 };
 

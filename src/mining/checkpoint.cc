@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <utility>
 
 #include "data/database.h"
 #include "util/contracts.h"
@@ -503,6 +504,17 @@ Status FillFileFingerprint(const std::string& path,
   fingerprint.path = path;
   fingerprint.file_bytes = static_cast<uint64_t>(size);
   return Status::OK();
+}
+
+std::function<Status(const Checkpoint&)> FileCheckpointSink(
+    DatabaseFingerprint file, std::string checkpoint_path) {
+  return [file = std::move(file), checkpoint_path = std::move(checkpoint_path)](
+             const Checkpoint& checkpoint) {
+    Checkpoint stamped = checkpoint;
+    stamped.database.path = file.path;
+    stamped.database.file_bytes = file.file_bytes;
+    return WriteCheckpointToFile(stamped, checkpoint_path);
+  };
 }
 
 }  // namespace pincer

@@ -23,6 +23,7 @@
 #define PINCER_MINING_CHECKPOINT_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -127,12 +128,19 @@ class TransactionDatabase;
 /// Staleness gate shared by every resume entry point: rejects with
 /// InvalidArgument unless the checkpoint's algorithm id, options
 /// fingerprint, and database shape (rows, items) all match the resuming
-/// run. Path/file_bytes are the CLI's concern (the library may mine
-/// databases that never touched a file).
+/// run. A database read from a file is also bound to that file:
+/// FileCheckpointSink stamps it and ResumeMaximalFromFile (mining/miner.h)
+/// checks the stamp.
 Status ValidateCheckpointForResume(const Checkpoint& checkpoint,
                                    std::string_view algorithm,
                                    std::string_view options_fingerprint,
                                    const TransactionDatabase& db);
+
+/// A checkpoint sink for a database read from `file` (FillFileFingerprint):
+/// stamps the file's path and size into each checkpoint and writes it to
+/// `checkpoint_path` with WriteCheckpointToFile.
+std::function<Status(const Checkpoint&)> FileCheckpointSink(
+    DatabaseFingerprint file, std::string checkpoint_path);
 
 /// Invokes options.checkpoint_sink with `checkpoint` if one is set.
 /// Checkpointing is best-effort: a failing sink is logged (once per run,

@@ -23,4 +23,17 @@ size_t MaxLength(const std::vector<FrequentItemset>& list) {
   return longest;
 }
 
+void WriteMfsText(std::ostream& os, const std::vector<FrequentItemset>& mfs) {
+  os << "# maximal frequent itemsets: " << mfs.size() << "\n";
+  os << "# format: support <tab> items...\n";
+  for (const FrequentItemset& fi : mfs) {
+    os << fi.support << "\t";
+    for (size_t i = 0; i < fi.itemset.size(); ++i) {
+      if (i > 0) os << ' ';
+      os << fi.itemset[i];
+    }
+    os << "\n";
+  }
+}
+
 }  // namespace pincer

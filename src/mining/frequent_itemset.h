@@ -34,6 +34,11 @@ std::vector<Itemset> ItemsetsOf(const std::vector<FrequentItemset>& list);
 /// Length of the longest itemset in the list (0 if empty).
 size_t MaxLength(const std::vector<FrequentItemset>& list);
 
+/// Writes the MFS in the text format mine_cli and pincer_shard print: a
+/// "# maximal frequent itemsets: N" header, a format line, then one
+/// "support <tab> items..." line per element, in list order.
+void WriteMfsText(std::ostream& os, const std::vector<FrequentItemset>& mfs);
+
 }  // namespace pincer
 
 #endif  // PINCER_MINING_FREQUENT_ITEMSET_H_

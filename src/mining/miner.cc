@@ -6,6 +6,7 @@
 
 #include "counting/counter_factory.h"
 #include "itemset/itemset_set.h"
+#include "mining/checkpoint.h"
 #include "util/thread_pool.h"
 
 namespace pincer {
@@ -32,6 +33,11 @@ StatusOr<Algorithm> ParseAlgorithm(std::string_view name) {
   return Status::InvalidArgument("unknown algorithm: " + std::string(name));
 }
 
+namespace {
+
+// The per-algorithm option rewrites MineMaximal applies before mining:
+// kPincer zeroes the MFCS cardinality cap (pure Pincer-Search), and
+// kPincerAdaptive fills the default caps in for zeros.
 MiningOptions EffectiveMiningOptions(MiningOptions options,
                                      Algorithm algorithm) {
   switch (algorithm) {
@@ -53,27 +59,6 @@ MiningOptions EffectiveMiningOptions(MiningOptions options,
   return options;
 }
 
-std::string_view CheckpointAlgorithmId(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kApriori:
-      return "apriori";
-    case Algorithm::kAprioriCombined:
-      return "apriori-combined";
-    case Algorithm::kPincer:
-    case Algorithm::kPincerAdaptive:
-      return "pincer";
-  }
-  return "unknown";
-}
-
-size_t CheckpointCombineThreshold(Algorithm algorithm) {
-  return algorithm == Algorithm::kAprioriCombined
-             ? CombinedPassOptions().combine_threshold
-             : 0;
-}
-
-namespace {
-
 // A bottom-up run's answer as a maximal-set result: the MFS extracted from
 // the frequent set, with the run's stats (or the resume error).
 MaximalSetResult ToMaximal(FrequentSetResult full) {
@@ -89,6 +74,24 @@ StatusOr<MaximalSetResult> ToMaximal(StatusOr<FrequentSetResult> full) {
 }
 
 }  // namespace
+
+std::string OptionsFingerprint(const MiningOptions& options,
+                               Algorithm algorithm) {
+  const MiningOptions effective = EffectiveMiningOptions(options, algorithm);
+  switch (algorithm) {
+    case Algorithm::kApriori:
+      return OptionsFingerprint(effective, "apriori");
+    case Algorithm::kAprioriCombined:
+      // MineMaximal mines apriori-combined with the default threshold.
+      return OptionsFingerprint(effective, "apriori-combined",
+                                CombinedPassOptions().combine_threshold);
+    case Algorithm::kPincer:
+    case Algorithm::kPincerAdaptive:
+      // The pure/adaptive distinction lives in the rewritten MFCS caps.
+      return OptionsFingerprint(effective, "pincer");
+  }
+  return "unknown";
+}
 
 MaximalSetResult MineMaximal(const TransactionDatabase& db,
                              const MiningOptions& options,
@@ -121,6 +124,24 @@ StatusOr<MaximalSetResult> ResumeMaximal(const TransactionDatabase& db,
       return PincerResume(db, effective, checkpoint);
   }
   return Status::InvalidArgument("unknown algorithm");
+}
+
+StatusOr<MaximalSetResult> ResumeMaximalFromFile(
+    const TransactionDatabase& db, const MiningOptions& options,
+    Algorithm algorithm, const DatabaseFingerprint& file,
+    const std::string& checkpoint_path) {
+  const StatusOr<Checkpoint> checkpoint =
+      ReadCheckpointFromFile(checkpoint_path);
+  if (!checkpoint.ok()) return checkpoint.status();
+  const DatabaseFingerprint& stamped = checkpoint->database;
+  if (!stamped.path.empty() && (stamped.path != file.path ||
+                                stamped.file_bytes != file.file_bytes)) {
+    return Status::InvalidArgument(
+        "checkpoint was written for " + stamped.path + " (" +
+        std::to_string(stamped.file_bytes) + " bytes), not " + file.path +
+        " (" + std::to_string(file.file_bytes) + " bytes)");
+  }
+  return ResumeMaximal(db, options, algorithm, *checkpoint);
 }
 
 FrequentSetResult MineFrequent(const TransactionDatabase& db,

@@ -5,6 +5,7 @@
 #ifndef PINCER_MINING_MINER_H_
 #define PINCER_MINING_MINER_H_
 
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -52,24 +53,15 @@ inline constexpr size_t kDefaultMfcsCardinalityLimit = 10000;
 /// kPincerAdaptive when options.mfcs_work_limit is 0.
 inline constexpr size_t kDefaultMfcsWorkLimit = 20'000'000;
 
-/// The per-algorithm option rewrites MineMaximal applies before mining:
-/// kPincer zeroes the MFCS cardinality cap (pure Pincer-Search), and
-/// kPincerAdaptive fills the default caps in for zeros. Exposed so every
-/// layer that fingerprints options (the serve cache, the checkpoint
-/// writers, the shard orchestrator) fingerprints what the driver actually
-/// runs with.
-MiningOptions EffectiveMiningOptions(MiningOptions options,
-                                     Algorithm algorithm);
-
-/// Checkpoint-layer driver id: both pincer variants share "pincer" (the
-/// pure/adaptive distinction lives in the options fingerprint).
-std::string_view CheckpointAlgorithmId(Algorithm algorithm);
-
-/// The combine threshold that participates in the options fingerprint:
-/// MineMaximal mines apriori-combined with the default CombinedPassOptions;
-/// every other algorithm keeps the fingerprint's combine-threshold clause
-/// absent (0).
-size_t CheckpointCombineThreshold(Algorithm algorithm);
+/// The run identity the checkpoint layer stores and every entry point
+/// compares: the fingerprint of the options `algorithm`'s driver actually
+/// runs with. Applies MineMaximal's per-algorithm rewrites (kPincer zeroes
+/// the MFCS cardinality cap, kPincerAdaptive fills the default caps in for
+/// zeros) and the driver id (both pincer variants are "pincer";
+/// apriori-combined adds the default combine threshold). The checkpoint
+/// writers, the serve cache and the shard orchestrator all call this.
+std::string OptionsFingerprint(const MiningOptions& options,
+                               Algorithm algorithm);
 
 /// Mines the maximum frequent set with the chosen algorithm. For kApriori
 /// the full frequent set is mined bottom-up and maximal elements are
@@ -91,6 +83,14 @@ StatusOr<MaximalSetResult> ResumeMaximal(const TransactionDatabase& db,
                                          const MiningOptions& options,
                                          Algorithm algorithm,
                                          const Checkpoint& checkpoint);
+
+/// ResumeMaximal from the checkpoint file a FileCheckpointSink wrote:
+/// reads `checkpoint_path` and refuses (InvalidArgument) a checkpoint
+/// stamped with a path or size other than `file`'s before resuming.
+StatusOr<MaximalSetResult> ResumeMaximalFromFile(
+    const TransactionDatabase& db, const MiningOptions& options,
+    Algorithm algorithm, const DatabaseFingerprint& file,
+    const std::string& checkpoint_path);
 
 /// Mines the complete frequent set (Apriori). Provided for rule generation
 /// over all itemsets.

@@ -3,8 +3,6 @@
 #include <dirent.h>
 #include <sys/stat.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -16,6 +14,7 @@
 #include "core/mfs.h"
 #include "counting/scan_budget.h"
 #include "counting/streaming_counter.h"
+#include "data/database.h"
 #include "mining/checkpoint.h"
 #include "orchestrate/shard_result.h"
 #include "orchestrate/sharder.h"
@@ -238,20 +237,6 @@ StatusOr<Manifest> ReadManifestFromFile(const std::string& path) {
   return manifest;
 }
 
-/// The options fingerprint every worker will stamp into its result — the
-/// orchestrator builds the MiningOptions exactly as RunShardWorker does, so
-/// fingerprint equality means "mined with these options".
-std::string WorkerOptionsFingerprint(const OrchestratorOptions& options) {
-  MiningOptions mining_options;
-  mining_options.min_support = options.min_support;
-  mining_options.backend = CounterBackend::kAuto;
-  mining_options.num_threads = options.worker_threads;
-  return OptionsFingerprint(
-      EffectiveMiningOptions(mining_options, options.algorithm),
-      CheckpointAlgorithmId(options.algorithm),
-      CheckpointCombineThreshold(options.algorithm));
-}
-
 /// Inserts every non-empty subset of `items` (from `start` on, under
 /// `prefix`) into the union. FailedPrecondition past kMaxUnionCandidates.
 Status ExpandSubsets(const std::vector<ItemId>& items, size_t start,
@@ -269,12 +254,6 @@ Status ExpandSubsets(const std::vector<ItemId>& items, size_t start,
     prefix.pop_back();
   }
   return Status::OK();
-}
-
-uint64_t GlobalMinCount(double min_support, uint64_t transactions) {
-  const double scaled = min_support * static_cast<double>(transactions);
-  const auto count = static_cast<uint64_t>(std::ceil(scaled));
-  return std::max<uint64_t>(count, 1);
 }
 
 }  // namespace
@@ -302,7 +281,13 @@ StatusOr<OrchestratorResult> OrchestrateMining(
   OrchestratorStats& stats = out.stats;
   stats.num_shards = options.num_shards;
 
-  const std::string expected_fingerprint = WorkerOptionsFingerprint(options);
+  // Every worker's config; each attempt adds its shard's paths and hooks.
+  ShardWorkerConfig worker_config;
+  worker_config.min_support = options.min_support;
+  worker_config.algorithm = options.algorithm;
+  worker_config.num_threads = options.worker_threads;
+  const std::string expected_fingerprint = OptionsFingerprint(
+      ShardWorkerMiningOptions(worker_config), worker_config.algorithm);
   DatabaseFingerprint source;
   PINCER_RETURN_IF_ERROR(FillFileFingerprint(database_path, source));
 
@@ -447,17 +432,14 @@ StatusOr<OrchestratorResult> OrchestrateMining(
     task.checkpoint_path = checkpoint_paths[i];
     task.log_path = options.work_dir + "/" + ShardFileName(i) + ".log";
     task.validate = [&load_result, i] { return load_result(i); };
-    task.command = [&options, &manifest, &result_paths, &checkpoint_paths,
-                    i](size_t attempt, bool resume) {
-      ShardWorkerConfig config;
+    task.command = [&options, &worker_config, &manifest, &result_paths,
+                    &checkpoint_paths, i](size_t attempt, bool resume) {
+      ShardWorkerConfig config = worker_config;
       config.shard_path = manifest.shards[i].path;
       config.result_path = result_paths[i];
       config.checkpoint_path = checkpoint_paths[i];
       config.resume = resume;
       config.shard_index = i;
-      config.min_support = options.min_support;
-      config.algorithm = options.algorithm;
-      config.num_threads = options.worker_threads;
       // Failure injection arms only the first attempt so retries converge.
       if (attempt == 1) {
         config.die_after_checkpoints = options.die_after_checkpoints;
@@ -542,7 +524,7 @@ StatusOr<OrchestratorResult> OrchestrateMining(
     }
     transactions = counter.last_pass_transactions();
     const uint64_t min_count =
-        GlobalMinCount(options.min_support, transactions);
+        MinSupportCount(options.min_support, transactions);
     Mfs mfs;
     for (size_t c = 0; c < candidates.size(); ++c) {
       if ((*counts)[c] >= min_count) mfs.Add(candidates[c], (*counts)[c]);
@@ -552,7 +534,7 @@ StatusOr<OrchestratorResult> OrchestrateMining(
   } else {
     // No shard found anything frequent, so (partition lemma) nothing is
     // globally frequent: skip the scan, the answer is the empty MFS.
-    out.min_count = GlobalMinCount(options.min_support, transactions);
+    out.min_count = MinSupportCount(options.min_support, transactions);
   }
   stats.validation_transactions = transactions;
   stats.validate_ms = validate_timer.ElapsedMillis();

@@ -30,6 +30,14 @@ std::string FormatMinSupport(double min_support) {
 
 }  // namespace
 
+MiningOptions ShardWorkerMiningOptions(const ShardWorkerConfig& config) {
+  MiningOptions options;
+  options.min_support = config.min_support;
+  options.backend = CounterBackend::kAuto;
+  options.num_threads = config.num_threads;
+  return options;
+}
+
 Status RunShardWorker(const ShardWorkerConfig& config) {
   Timer timer;
   // Strict read: the sharder already enforced the malformed-row policy, so
@@ -47,52 +55,28 @@ Status RunShardWorker(const ShardWorkerConfig& config) {
   fingerprint.rows = db->size();
   fingerprint.items = db->num_items();
 
-  MiningOptions options;
-  options.min_support = config.min_support;
-  options.backend = CounterBackend::kAuto;
-  options.num_threads = config.num_threads;
-
+  MiningOptions options = ShardWorkerMiningOptions(config);
   size_t checkpoints_written = 0;
   if (!config.checkpoint_path.empty()) {
-    options.checkpoint_sink = [&](const Checkpoint& checkpoint) {
-      Checkpoint stamped = checkpoint;
-      stamped.database.path = fingerprint.path;
-      stamped.database.file_bytes = fingerprint.file_bytes;
-      const Status written =
-          WriteCheckpointToFile(stamped, config.checkpoint_path);
-      if (written.ok() && config.die_after_checkpoints > 0 &&
-          ++checkpoints_written >= config.die_after_checkpoints) {
-        // Failure-schedule hook: die the way a crashed worker dies — no
-        // cleanup, no result file, checkpoint already durable.
-        ::kill(::getpid(), SIGKILL);
-      }
-      return written;
-    };
+    options.checkpoint_sink =
+        [&, write = FileCheckpointSink(fingerprint, config.checkpoint_path)](
+            const Checkpoint& checkpoint) {
+          const Status written = write(checkpoint);
+          if (written.ok() && config.die_after_checkpoints > 0 &&
+              ++checkpoints_written >= config.die_after_checkpoints) {
+            // Failure-schedule hook: die the way a crashed worker dies — no
+            // cleanup, no result file, checkpoint already durable.
+            ::kill(::getpid(), SIGKILL);
+          }
+          return written;
+        };
   }
 
   MaximalSetResult mined;
-  bool resumed = false;
-  if (config.resume && FileExists(config.checkpoint_path)) {
-    const StatusOr<Checkpoint> checkpoint =
-        ReadCheckpointFromFile(config.checkpoint_path);
-    if (!checkpoint.ok()) {
-      return Status(checkpoint.status().code(),
-                    "cannot resume shard " +
-                        std::to_string(config.shard_index) + ": " +
-                        checkpoint.status().message());
-    }
-    if (!checkpoint->database.path.empty() &&
-        (checkpoint->database.path != fingerprint.path ||
-         checkpoint->database.file_bytes != fingerprint.file_bytes)) {
-      return Status::InvalidArgument(
-          "cannot resume shard " + std::to_string(config.shard_index) +
-          ": checkpoint was written for " + checkpoint->database.path + " (" +
-          std::to_string(checkpoint->database.file_bytes) + " bytes), not " +
-          fingerprint.path + " (" + std::to_string(fingerprint.file_bytes) +
-          " bytes)");
-    }
-    StatusOr<MaximalSetResult> result =
-        ResumeMaximal(*db, options, config.algorithm, *checkpoint);
+  const bool resumed = config.resume && FileExists(config.checkpoint_path);
+  if (resumed) {
+    StatusOr<MaximalSetResult> result = ResumeMaximalFromFile(
+        *db, options, config.algorithm, fingerprint, config.checkpoint_path);
     if (!result.ok()) {
       return Status(result.status().code(),
                     "cannot resume shard " +
@@ -100,7 +84,6 @@ Status RunShardWorker(const ShardWorkerConfig& config) {
                         result.status().message());
     }
     mined = std::move(*result);
-    resumed = true;
   } else {
     mined = MineMaximal(*db, options, config.algorithm);
   }
@@ -108,10 +91,7 @@ Status RunShardWorker(const ShardWorkerConfig& config) {
   ShardResult result;
   result.shard_index = config.shard_index;
   result.shard = fingerprint;
-  result.options_fingerprint = OptionsFingerprint(
-      EffectiveMiningOptions(options, config.algorithm),
-      CheckpointAlgorithmId(config.algorithm),
-      CheckpointCombineThreshold(config.algorithm));
+  result.options_fingerprint = OptionsFingerprint(options, config.algorithm);
   result.resumed_from_checkpoint = resumed;
   result.passes = mined.stats.passes;
   result.mine_ms = timer.ElapsedMillis();

@@ -44,6 +44,11 @@ struct ShardWorkerConfig {
   size_t die_after_checkpoints = 0;
 };
 
+/// The MiningOptions a worker mines `config`'s shard with. The orchestrator
+/// fingerprints the same options, so a shard result's fingerprint matches
+/// only when it was mined with them.
+MiningOptions ShardWorkerMiningOptions(const ShardWorkerConfig& config);
+
 /// Runs one shard worker to completion. On success the ShardResult is on
 /// disk at config.result_path. Errors are returned, not printed.
 Status RunShardWorker(const ShardWorkerConfig& config);

@@ -104,7 +104,7 @@ StatusOr<Request> ParseRequest(std::string_view line) {
       PINCER_RETURN_IF_ERROR(ParseStringField(value, key, request.database));
     } else if (key == "min_support") {
       PINCER_RETURN_IF_ERROR(
-          ParseDoubleField(value, key, request.min_support));
+          ParseDoubleField(value, key, request.options.min_support));
       have_min_support = true;
     } else if (key == "algorithm") {
       std::string name;
@@ -114,18 +114,20 @@ StatusOr<Request> ParseRequest(std::string_view line) {
       request.algorithm = *parsed;
     } else if (key == "use_array_fast_path") {
       PINCER_RETURN_IF_ERROR(
-          ParseBoolField(value, key, request.use_array_fast_path));
+          ParseBoolField(value, key, request.options.use_array_fast_path));
     } else if (key == "max_passes") {
-      PINCER_RETURN_IF_ERROR(ParseUintField(value, key, request.max_passes));
+      PINCER_RETURN_IF_ERROR(
+          ParseUintField(value, key, request.options.max_passes));
     } else if (key == "mfcs_cardinality_limit") {
       PINCER_RETURN_IF_ERROR(
-          ParseUintField(value, key, request.mfcs_cardinality_limit));
+          ParseUintField(value, key, request.options.mfcs_cardinality_limit));
     } else if (key == "mfcs_work_limit") {
       PINCER_RETURN_IF_ERROR(
-          ParseUintField(value, key, request.mfcs_work_limit));
+          ParseUintField(value, key, request.options.mfcs_work_limit));
     } else if (key == "budget_ms") {
-      PINCER_RETURN_IF_ERROR(ParseDoubleField(value, key, request.budget_ms));
-      if (request.budget_ms < 0) {
+      PINCER_RETURN_IF_ERROR(
+          ParseDoubleField(value, key, request.options.time_budget_ms));
+      if (request.options.time_budget_ms < 0) {
         return Status::InvalidArgument("budget_ms must be >= 0");
       }
     } else if (key == "no_cache") {
@@ -143,7 +145,8 @@ StatusOr<Request> ParseRequest(std::string_view line) {
     if (!have_min_support) {
       return Status::InvalidArgument("mine request needs \"min_support\"");
     }
-    if (!(request.min_support > 0.0) || request.min_support > 1.0) {
+    if (!(request.options.min_support > 0.0) ||
+        request.options.min_support > 1.0) {
       return Status::InvalidArgument("min_support must be in (0, 1]");
     }
   }

@@ -35,19 +35,13 @@ struct Request {
   /// the response. Empty = absent.
   std::string id;
 
-  // kMine fields. Mirrors the mine_cli surface minus backend/threads: the
-  // daemon always counts through each database's resident adaptive counter
-  // and the shared pool, which is result-invariant (all backends count
-  // identically), so exposing the knobs would only fragment the cache.
+  // kMine fields. The wire's mining keys land in `options` under their own
+  // names, budget_ms in time_budget_ms (0 = the server default). There is
+  // no backend/threads key: the daemon counts through each database's
+  // resident counter and its pool, which is result-invariant.
   std::string database;
-  double min_support = 0.0;
+  MiningOptions options;
   Algorithm algorithm = Algorithm::kPincerAdaptive;
-  bool use_array_fast_path = true;
-  size_t max_passes = 0;
-  size_t mfcs_cardinality_limit = 0;
-  size_t mfcs_work_limit = 0;
-  /// Per-query wall-clock budget in milliseconds; 0 = the server default.
-  double budget_ms = 0;
   /// True bypasses the result cache (always mines, result not stored).
   bool no_cache = false;
 };

@@ -182,7 +182,7 @@ std::string MineResponse(const Request& request, std::string_view database,
   json.KeyValue("schema_minor", kStatsJsonSchemaMinorVersion);
   json.KeyValue("database", database);
   json.KeyValue("algorithm", AlgorithmName(request.algorithm));
-  json.KeyValue("min_support", request.min_support);
+  json.KeyValue("min_support", request.options.min_support);
   json.KeyValue("min_count", min_count);
   json.KeyValue("cache", cache);
   json.KeyValue("num_transactions", static_cast<uint64_t>(num_transactions));
@@ -223,44 +223,33 @@ std::string MiningService::HandleMine(const Request& request) {
         request.id);
   }
 
-  MiningOptions options;
-  options.min_support = request.min_support;
+  // The request's options plus what the daemon sets itself: metrics, the
+  // budget's default and ceiling, and (once mining, below) the resident
+  // counter and pool.
+  MiningOptions options = request.options;
   options.backend = CounterBackend::kAuto;
-  options.use_array_fast_path = request.use_array_fast_path;
-  options.max_passes = request.max_passes;
-  options.mfcs_cardinality_limit = request.mfcs_cardinality_limit;
-  options.mfcs_work_limit = request.mfcs_work_limit;
   options.collect_counter_metrics = true;
-  double budget_ms =
-      request.budget_ms > 0 ? request.budget_ms : options_.default_budget_ms;
+  double& budget_ms = options.time_budget_ms;
+  if (budget_ms <= 0) budget_ms = options_.default_budget_ms;
   if (options_.max_budget_ms > 0 &&
       (budget_ms <= 0 || budget_ms > options_.max_budget_ms)) {
     budget_ms = options_.max_budget_ms;
   }
-  options.time_budget_ms = budget_ms;
 
-  // Cache keys are fingerprints of the EFFECTIVE options — result-invariant
-  // knobs (backend, threads, budget) are excluded by the checkpoint layer,
-  // so queries differing only in budget share an entry. A pincer-adaptive
-  // query with explicit limits equal to the defaults must hit the same
-  // entry as one that left them 0, hence the MineMaximal rewrites.
-  const MiningOptions effective =
-      EffectiveMiningOptions(options, request.algorithm);
-  const std::string_view algorithm_id =
-      CheckpointAlgorithmId(request.algorithm);
-  const size_t combine_threshold =
-      CheckpointCombineThreshold(request.algorithm);
+  // Cache keys are run identities (OptionsFingerprint): result-invariant
+  // knobs (backend, threads, budget) are excluded, so queries differing
+  // only in budget share an entry, and a pincer-adaptive query with
+  // explicit limits equal to the defaults hits the same entry as one that
+  // left them 0. The family key drops min_support.
   const std::string db_key = DatabaseKey(resident->fingerprint);
   const std::string key =
-      db_key + "|" +
-      OptionsFingerprint(effective, algorithm_id, combine_threshold);
-  MiningOptions family_options = effective;
+      db_key + "|" + OptionsFingerprint(options, request.algorithm);
+  MiningOptions family_options = options;
   family_options.min_support = 0;
   const std::string family =
-      db_key + "|" +
-      OptionsFingerprint(family_options, algorithm_id, combine_threshold);
+      db_key + "|" + OptionsFingerprint(family_options, request.algorithm);
   const uint64_t min_count =
-      resident->db.MinSupportCount(request.min_support);
+      resident->db.MinSupportCount(options.min_support);
 
   const CountingMetrics kNoCounting{};
   if (!request.no_cache) {
@@ -287,7 +276,7 @@ std::string MiningService::HandleMine(const Request& request) {
         auto derived = std::make_shared<ResultCache::Entry>();
         derived->key = key;
         derived->family = family;
-        derived->min_support = request.min_support;
+        derived->min_support = options.min_support;
         derived->min_count = min_count;
         derived->mfs = std::move(*filtered);
         derived->stats = base->stats;
@@ -342,7 +331,7 @@ std::string MiningService::HandleMine(const Request& request) {
     auto entry = std::make_shared<ResultCache::Entry>();
     entry->key = key;
     entry->family = family;
-    entry->min_support = request.min_support;
+    entry->min_support = options.min_support;
     entry->min_count = min_count;
     entry->mfs = result.mfs;
     entry->stats = result.stats;

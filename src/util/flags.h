@@ -88,14 +88,17 @@ class Flags {
     });
   }
 
-  /// An enum read through its `parse`/`name_of` pair; the usage lists the
-  /// names of `values`.
-  template <typename E>
-  Flags& Enum(std::string_view name, E* out,
+  /// An enum field, or a std::optional of one (left empty unless the flag
+  /// is given), read through its `parse`/`name_of` pair; the usage lists
+  /// the names of `values`.
+  template <typename T, typename E>
+  Flags& Enum(std::string_view name, T* out,
               StatusOr<E> (*parse)(std::string_view),
               std::string_view (*name_of)(E),
               std::type_identity_t<std::span<const E>> values,
               std::string_view help) {
+    std::string default_text;
+    if constexpr (std::is_same_v<T, E>) default_text = name_of(*out);
     std::string choices;
     for (const E value : values) {
       if (!choices.empty()) choices += '|';
@@ -109,7 +112,7 @@ class Flags {
           *out = *parsed;
           return Status::OK();
         },
-        std::string(name_of(*out)));
+        std::move(default_text));
   }
 
   /// The form every entry reduces to. An empty `metavar` makes the flag

@@ -44,6 +44,32 @@ TEST(Apriori, MaximalItemsetsMatchBruteForce) {
   EXPECT_EQ(result.MaximalItemsets(), BruteForceMaximal(db, 0.15));
 }
 
+// A pass-capped run keeps complete levels only; its MFS is what a pairwise
+// scan of that truncated frequent set keeps.
+TEST(Apriori, MaximalItemsetsOfPassCappedRun) {
+  RandomDbParams params;
+  params.num_items = 10;
+  params.num_transactions = 60;
+  params.item_probability = 0.6;
+  params.seed = 5;
+  const TransactionDatabase db = MakeRandomDatabase(params);
+  MiningOptions options = WithSupport(0.1);
+  options.max_passes = 3;
+  const FrequentSetResult result = AprioriMine(db, options);
+  ASSERT_TRUE(result.stats.aborted);
+  std::vector<FrequentItemset> expected;
+  for (const FrequentItemset& fi : result.frequent) {
+    bool covered = false;
+    for (const FrequentItemset& other : result.frequent) {
+      covered = covered || (other.itemset.size() > fi.itemset.size() &&
+                            fi.itemset.IsSubsetOf(other.itemset));
+    }
+    if (!covered) expected.push_back(fi);
+  }
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(result.MaximalItemsets(), expected);
+}
+
 TEST(Apriori, AllBackendsAgree) {
   RandomDbParams params;
   params.num_items = 8;

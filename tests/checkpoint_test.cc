@@ -237,6 +237,39 @@ TEST_F(CheckpointFileTest, FillFileFingerprint) {
             StatusCode::kIoError);
 }
 
+// The file binding: FileCheckpointSink stamps the database file's identity
+// and ResumeMaximalFromFile resumes only for that file.
+TEST_F(CheckpointFileTest, FileSinkStampsAndResumeChecksTheFile) {
+  const TransactionDatabase db = MakeRandomDatabase({.seed = 11});
+  DatabaseFingerprint file;
+  file.path = "data/db.basket";
+  file.file_bytes = 321;
+  MiningOptions options;
+  options.min_support = 0.2;
+  options.checkpoint_sink = FileCheckpointSink(file, path_);
+  MineMaximal(db, options, Algorithm::kPincerAdaptive);
+  const StatusOr<Checkpoint> written = ReadCheckpointFromFile(path_);
+  ASSERT_TRUE(written.ok()) << written.status();
+  EXPECT_EQ(written->database.path, file.path);
+  EXPECT_EQ(written->database.file_bytes, file.file_bytes);
+
+  options.checkpoint_sink = nullptr;
+  const StatusOr<MaximalSetResult> resumed = ResumeMaximalFromFile(
+      db, options, Algorithm::kPincerAdaptive, file, path_);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->mfs,
+            MineMaximal(db, options, Algorithm::kPincerAdaptive).mfs);
+
+  DatabaseFingerprint other = file;
+  other.file_bytes = 322;
+  const StatusOr<MaximalSetResult> refused = ResumeMaximalFromFile(
+      db, options, Algorithm::kPincerAdaptive, other, path_);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("was written for"),
+            std::string::npos)
+      << refused.status();
+}
+
 TEST(OptionsFingerprint, SeparatesResultAffectingOptions) {
   MiningOptions options;
   options.min_support = 0.1;
@@ -267,6 +300,62 @@ TEST(OptionsFingerprint, SeparatesResultAffectingOptions) {
   // The combined-pass threshold participates only for apriori-combined.
   EXPECT_NE(OptionsFingerprint(options, "apriori-combined", 50),
             OptionsFingerprint(options, "apriori-combined", 100));
+}
+
+// Checkpoints store the fingerprint bytes, so they must never change: these
+// are the strings checkpoints on disk already hold.
+TEST(OptionsFingerprint, PinnedBytesPerAlgorithm) {
+  MiningOptions custom;
+  custom.use_array_fast_path = false;
+  custom.max_passes = 7;
+  custom.mfcs_cardinality_limit = 123;
+  custom.mfcs_work_limit = 4567;
+  struct Pinned {
+    Algorithm algorithm;
+    const char* defaults;
+    const char* custom;
+  };
+  const Pinned kPinned[] = {
+      {Algorithm::kApriori,
+       "v1;alg=apriori;min_support=0.01;fast_path=1;max_passes=0;"
+       "mfcs_cardinality_limit=0;mfcs_work_limit=0",
+       "v1;alg=apriori;min_support=0.01;fast_path=0;max_passes=7;"
+       "mfcs_cardinality_limit=123;mfcs_work_limit=4567"},
+      {Algorithm::kAprioriCombined,
+       "v1;alg=apriori-combined;min_support=0.01;fast_path=1;max_passes=0;"
+       "mfcs_cardinality_limit=0;mfcs_work_limit=0;combine_threshold=5000",
+       "v1;alg=apriori-combined;min_support=0.01;fast_path=0;max_passes=7;"
+       "mfcs_cardinality_limit=123;mfcs_work_limit=4567;"
+       "combine_threshold=5000"},
+      {Algorithm::kPincer,
+       "v1;alg=pincer;min_support=0.01;fast_path=1;max_passes=0;"
+       "mfcs_cardinality_limit=0;mfcs_work_limit=0",
+       "v1;alg=pincer;min_support=0.01;fast_path=0;max_passes=7;"
+       "mfcs_cardinality_limit=0;mfcs_work_limit=4567"},
+      {Algorithm::kPincerAdaptive,
+       "v1;alg=pincer;min_support=0.01;fast_path=1;max_passes=0;"
+       "mfcs_cardinality_limit=10000;mfcs_work_limit=20000000",
+       "v1;alg=pincer;min_support=0.01;fast_path=0;max_passes=7;"
+       "mfcs_cardinality_limit=123;mfcs_work_limit=4567"},
+  };
+  for (const Pinned& pinned : kPinned) {
+    SCOPED_TRACE(AlgorithmName(pinned.algorithm));
+    EXPECT_EQ(OptionsFingerprint(MiningOptions{}, pinned.algorithm),
+              pinned.defaults);
+    EXPECT_EQ(OptionsFingerprint(custom, pinned.algorithm), pinned.custom);
+  }
+}
+
+// Checkpoints already on disk keep resuming: the checked-in corpus
+// checkpoint names the same bytes.
+TEST(OptionsFingerprint, MatchesCorpusCheckpoint) {
+  const StatusOr<Checkpoint> checkpoint = ReadCheckpointFromFile(
+      PINCER_FUZZ_DIR "/corpus/checkpoint/valid_pincer_pass4.json");
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status();
+  MiningOptions options;
+  options.min_support = 0.4;
+  EXPECT_EQ(OptionsFingerprint(options, Algorithm::kPincerAdaptive),
+            checkpoint->options_fingerprint);
 }
 
 // ---------------------------------------------------------------------------

@@ -112,7 +112,13 @@ const UsageCase kCases[] = {
      "{dir}/in.basket --work-dir={dir}/out --max-backoff-ms=-1"},
     {"shard_budget_negative", &kShard,
      "{dir}/in.basket --work-dir={dir}/out --budget-ms=-1"},
+    {"shard_worker_binary_empty", &kShard,
+     "{dir}/in.basket --work-dir={dir}/out --worker-binary="},
     {"query_budget_negative", &kQuery, "--port=1 --budget-ms=-1"},
+    {"query_support_above_one", &kQuery,
+     "--port=1 --database=v --min-support=5"},
+    {"query_algorithm_unknown", &kQuery,
+     "--port=1 --database=v --min-support=0.5 --algorithm=eclat"},
 };
 
 INSTANTIATE_TEST_SUITE_P(

@@ -37,6 +37,7 @@ struct Table {
   std::string path = "in.txt";
   bool verbose = false;
   Color color = Color::kRed;
+  std::optional<Color> accent;
   std::vector<std::string> tags;
   Flags flags{"prog", "<input>"};
 
@@ -49,6 +50,7 @@ struct Table {
         .String("path", "FILE", &path, "a path", FlagCheck::kNonEmptyPath)
         .Bool("verbose", &verbose, "be loud")
         .Enum("color", &color, ParseColor, ColorName, kAllColors, "a color")
+        .Enum("accent", &accent, ParseColor, ColorName, kAllColors, "or none")
         .Custom("tag", "T", "repeatable", [this](std::string_view text) {
           tags.emplace_back(text);
           return Status::OK();
@@ -62,7 +64,8 @@ TEST(Flags, EveryKindAcceptsAWellFormedToken) {
   Table t;
   ASSERT_TRUE(t.Parse({"--ratio=1", "--budget-ms=0", "--count=3", "--port=0",
                        "--seed=18446744073709551615", "--path=out.json",
-                       "--verbose", "--color=green", "--tag=a", "--tag=b"})
+                       "--verbose", "--color=green", "--accent=green",
+                       "--tag=a", "--tag=b"})
                   .ok());
   EXPECT_EQ(t.ratio, 1.0);
   EXPECT_EQ(t.budget, 0.0);
@@ -72,6 +75,7 @@ TEST(Flags, EveryKindAcceptsAWellFormedToken) {
   EXPECT_EQ(t.path, "out.json");
   EXPECT_TRUE(t.verbose);
   EXPECT_EQ(t.color, Color::kGreen);
+  EXPECT_EQ(t.accent, Color::kGreen);
   EXPECT_EQ(t.tags, (std::vector<std::string>{"a", "b"}));
 }
 
@@ -81,6 +85,7 @@ TEST(Flags, AbsentFlagsKeepTheirDefaults) {
   EXPECT_EQ(t.ratio, 0.5);
   EXPECT_FALSE(t.budget.has_value());
   EXPECT_FALSE(t.port.has_value());
+  EXPECT_FALSE(t.accent.has_value());
   EXPECT_EQ(t.path, "in.txt");
   EXPECT_FALSE(t.verbose);
 }
@@ -103,10 +108,10 @@ TEST(Flags, RejectsMalformedValuesOfEveryKind) {
   for (const char* bad : {
            // empty
            "--ratio=", "--budget-ms=", "--count=", "--port=", "--seed=",
-           "--path=", "--color=",
+           "--path=", "--color=", "--accent=",
            // garbage
            "--ratio=abc", "--budget-ms=x", "--count=foo", "--port=p",
-           "--seed=s", "--color=blue",
+           "--seed=s", "--color=blue", "--accent=blue",
            // out of range, including each named check
            "--ratio=0", "--ratio=1.5", "--budget-ms=-1", "--count=0",
            "--count=-1", "--port=65536", "--seed=18446744073709551616",
@@ -148,13 +153,16 @@ TEST(Flags, UsageNamesEveryRegisteredFlag) {
   EXPECT_EQ(usage.rfind("usage: prog <input> [flags]\n", 0), 0u) << usage;
   for (const char* flag :
        {"--ratio=F", "--budget-ms=MS", "--count=N", "--port=N", "--seed=N",
-        "--path=FILE", "--verbose ", "--color=red|green", "--tag=T"}) {
+        "--path=FILE", "--verbose ", "--color=red|green",
+        "--accent=red|green", "--tag=T"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag << "\n" << usage;
   }
   // Defaults come from the bound fields at registration.
   EXPECT_NE(usage.find("(default 0.5)"), std::string::npos) << usage;
   EXPECT_NE(usage.find("(default red)"), std::string::npos) << usage;
   EXPECT_NE(usage.find("(default in.txt)"), std::string::npos) << usage;
+  // An optional enum has no default to show.
+  EXPECT_NE(usage.find("or none\n"), std::string::npos) << usage;
   for (size_t start = 0, end; start < usage.size(); start = end + 1) {
     end = usage.find('\n', start);
     EXPECT_LE(end - start, 80u) << usage.substr(start, end - start);

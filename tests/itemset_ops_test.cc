@@ -21,24 +21,6 @@ TEST(Join, UnionsJoinablePair) {
   EXPECT_EQ(Join(Itemset{4}, Itemset{7}), (Itemset{4, 7}));
 }
 
-TEST(MaximalElements, FiltersSubsetsAndDuplicates) {
-  const std::vector<Itemset> input = {Itemset{1, 2}, Itemset{1, 2, 3},
-                                      Itemset{2, 3}, Itemset{1, 2, 3},
-                                      Itemset{4}};
-  const std::vector<Itemset> expected = {Itemset{1, 2, 3}, Itemset{4}};
-  EXPECT_EQ(MaximalElements(input), expected);
-}
-
-TEST(MaximalElements, EmptyInput) {
-  EXPECT_TRUE(MaximalElements({}).empty());
-}
-
-TEST(MaximalElements, AllIncomparableKeepsEverything) {
-  const std::vector<Itemset> input = {Itemset{1, 2}, Itemset{3, 4},
-                                      Itemset{5}};
-  EXPECT_EQ(MaximalElements(input).size(), 3u);
-}
-
 TEST(IsSubsetOfAny, Basics) {
   const std::vector<Itemset> collection = {Itemset{1, 2, 3}, Itemset{4, 5}};
   EXPECT_TRUE(IsSubsetOfAny(Itemset{2, 3}, collection));

@@ -48,13 +48,13 @@ TEST(ParseRequest, MineDefaultsMatchTheCli) {
       ParseRequest(R"({"op":"mine","database":"quest","min_support":0.25})");
   ASSERT_TRUE(request.ok()) << request.status();
   EXPECT_EQ(request->database, "quest");
-  EXPECT_DOUBLE_EQ(request->min_support, 0.25);
+  EXPECT_DOUBLE_EQ(request->options.min_support, 0.25);
   EXPECT_EQ(request->algorithm, Algorithm::kPincerAdaptive);
-  EXPECT_TRUE(request->use_array_fast_path);
-  EXPECT_EQ(request->max_passes, 0u);
-  EXPECT_EQ(request->mfcs_cardinality_limit, 0u);
-  EXPECT_EQ(request->mfcs_work_limit, 0u);
-  EXPECT_DOUBLE_EQ(request->budget_ms, 0.0);
+  EXPECT_TRUE(request->options.use_array_fast_path);
+  EXPECT_EQ(request->options.max_passes, 0u);
+  EXPECT_EQ(request->options.mfcs_cardinality_limit, 0u);
+  EXPECT_EQ(request->options.mfcs_work_limit, 0u);
+  EXPECT_DOUBLE_EQ(request->options.time_budget_ms, 0.0);
   EXPECT_FALSE(request->no_cache);
 }
 
@@ -67,11 +67,11 @@ TEST(ParseRequest, MineWithEveryField) {
   ASSERT_TRUE(request.ok()) << request.status();
   EXPECT_EQ(request->id, "q1");
   EXPECT_EQ(request->algorithm, Algorithm::kAprioriCombined);
-  EXPECT_FALSE(request->use_array_fast_path);
-  EXPECT_EQ(request->max_passes, 5u);
-  EXPECT_EQ(request->mfcs_cardinality_limit, 100u);
-  EXPECT_EQ(request->mfcs_work_limit, 50000u);
-  EXPECT_DOUBLE_EQ(request->budget_ms, 250.5);
+  EXPECT_FALSE(request->options.use_array_fast_path);
+  EXPECT_EQ(request->options.max_passes, 5u);
+  EXPECT_EQ(request->options.mfcs_cardinality_limit, 100u);
+  EXPECT_EQ(request->options.mfcs_work_limit, 50000u);
+  EXPECT_DOUBLE_EQ(request->options.time_budget_ms, 250.5);
   EXPECT_TRUE(request->no_cache);
 }
 
